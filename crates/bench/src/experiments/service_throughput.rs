@@ -6,31 +6,51 @@
 //!    (default, pipelined) service — achieved requests/sec, cache
 //!    effectiveness, latency percentiles. The acceptance floor tracked from
 //!    this experiment onward is ≥ 100 req/s on mixed small instances.
-//! 2. A pipelined-vs-serial comparison on the bursty multi-tenant scenario:
-//!    the same request pool is replayed against (a) the serial
-//!    per-connection baseline with a closed-loop client and (b) the
-//!    pipelined executor with an open-loop client, asserting that the
+//! 2. A pipelined vs one-at-a-time comparison on the bursty multi-tenant
+//!    scenario: the same request pool is replayed against (a) the service
+//!    sized to one solver thread with a closed-loop client — every request
+//!    is handled alone, so nothing overlaps or coalesces — and (b) the
+//!    default solver pool with an open-loop client, asserting that the
 //!    response payloads are identical modulo ordering and reporting the
-//!    speedup plus the fresh-solve counts (the single-flight layer and the
-//!    shared solve queue eliminate the duplicate solves that racing serial
-//!    connections pay).
+//!    median throughput ratio over interleaved pairs plus the fresh-solve
+//!    counts.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use suu_service::{
-    run_loadgen, spawn_tcp, tenant_drift_bases, Detail, ExecutionMode, LoadReport, LoadgenConfig,
-    MetricsSnapshot, PipelineConfig, Request, SchedulerService, ServiceConfig, TcpServerConfig,
+    run_loadgen, spawn_tcp, tenant_drift_bases, Detail, LoadReport, LoadgenConfig, MetricsSnapshot,
+    PipelineConfig, Request, Response, SchedulerService, ServiceConfig, TcpServerConfig,
 };
 
 use crate::report::{f2, Table};
 use crate::RunConfig;
+
+/// Interleaved baseline/pipelined pairs timed by the S1b comparison.
+const PAIRS: usize = 5;
+
+/// Answers `request` in process, through the line entry point.
+fn handle(service: &SchedulerService, request: &Request) -> Response {
+    let line = serde_json::to_string(request).expect("requests serialise");
+    serde_json::from_str(&service.handle_line(&line)).expect("responses parse")
+}
+
+/// Median, minimum and maximum of `values` (sorted in place).
+fn median_min_max(values: &mut [f64]) -> (f64, f64, f64) {
+    values.sort_by(f64::total_cmp);
+    (
+        values[values.len() / 2],
+        values[0],
+        values[values.len() - 1],
+    )
+}
 
 /// One run of a scenario against a freshly spawned in-process service.
 fn run_mode(
     scenario: &str,
     total_requests: usize,
     seed: u64,
-    mode: ExecutionMode,
+    pipeline: PipelineConfig,
     max_in_flight: usize,
     collect_payloads: bool,
 ) -> (LoadReport, MetricsSnapshot) {
@@ -38,7 +58,7 @@ fn run_mode(
         scenario,
         total_requests,
         seed,
-        mode,
+        pipeline,
         max_in_flight,
         collect_payloads,
         None,
@@ -53,7 +73,7 @@ fn run_mode_with_detail(
     scenario: &str,
     total_requests: usize,
     seed: u64,
-    mode: ExecutionMode,
+    pipeline: PipelineConfig,
     max_in_flight: usize,
     collect_payloads: bool,
     detail: Option<Detail>,
@@ -65,7 +85,7 @@ fn run_mode_with_detail(
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            mode,
+            pipeline,
         },
     )
     .expect("ephemeral bind succeeds");
@@ -110,7 +130,7 @@ pub fn run_sweep(config: &RunConfig) -> Table {
             scenario,
             total_requests,
             config.seed,
-            ExecutionMode::default(),
+            PipelineConfig::default(),
             1,
             false,
         );
@@ -131,20 +151,22 @@ pub fn run_sweep(config: &RunConfig) -> Table {
     table
 }
 
-/// Runs the pipelined-vs-serial comparison on the bursty scenario.
+/// Runs the pipelined vs one-at-a-time comparison on the bursty scenario.
 ///
 /// # Panics
 ///
-/// Panics if the two modes disagree on any response payload (modulo
+/// Panics if the two arms disagree on any response payload (modulo
 /// ordering) — that would be a correctness bug, not a performance result.
 #[must_use]
 pub fn run_comparison(config: &RunConfig) -> Table {
     let mut table = Table::new(
-        "S1b: pipelined vs serial execution (bursty multi-tenant, 4 connections)",
+        "S1b: pipelined vs one-at-a-time execution (bursty multi-tenant, 4 connections)",
         &[
-            "mode",
+            "arm",
             "requests",
-            "req/s",
+            "req/s median",
+            "req/s min",
+            "req/s max",
             "p50 us",
             "p99 us",
             "fresh_solves",
@@ -154,103 +176,92 @@ pub fn run_comparison(config: &RunConfig) -> Table {
     );
     let total_requests = if config.quick { 240 } else { 600 };
     let seed = config.seed ^ 0xB1B;
+    // (label, solver pool, client requests in flight per connection).
+    let arms = [
+        (
+            "one-at-a-time (baseline)",
+            PipelineConfig {
+                solver_threads: 1,
+                ..PipelineConfig::default()
+            },
+            1,
+        ),
+        ("pipelined", PipelineConfig::default(), 64),
+    ];
 
     // Correctness pass: payload collection on (the client fully parses every
-    // response), both modes must agree modulo ordering.
-    let (serial_checked, _) = run_mode(
-        "bursty",
-        total_requests,
-        seed,
-        ExecutionMode::Serial,
-        1,
-        true,
-    );
-    let (pipelined_checked, _) = run_mode(
-        "bursty",
-        total_requests,
-        seed,
-        ExecutionMode::Pipelined(PipelineConfig::default()),
-        64,
-        true,
-    );
+    // response), both arms must agree modulo ordering.
+    let [baseline, pipelined] = arms.clone().map(|(_, pipeline, in_flight)| {
+        run_mode("bursty", total_requests, seed, pipeline, in_flight, true).0
+    });
     assert_eq!(
-        serial_checked.payloads, pipelined_checked.payloads,
-        "the two modes must return identical response payloads modulo ordering"
+        baseline.payloads, pipelined.payloads,
+        "the two arms must return identical response payloads modulo ordering"
     );
 
     // Timed pass: payload collection off (the client fast-scans response
     // envelopes so the measurement is of the service, not the client's JSON
-    // parser). Best of three attempts to damp single-core scheduler noise.
-    let mut best: Option<(
-        LoadReport,
-        MetricsSnapshot,
-        LoadReport,
-        MetricsSnapshot,
-        f64,
-    )> = None;
-    for _ in 0..3 {
-        let (serial, serial_metrics) = run_mode(
-            "bursty",
-            total_requests,
-            seed,
-            ExecutionMode::Serial,
-            1,
-            false,
-        );
-        let (pipelined, pipelined_metrics) = run_mode(
-            "bursty",
-            total_requests,
-            seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-            64,
-            false,
-        );
-        for (label, report) in [("serial", &serial), ("pipelined", &pipelined)] {
-            assert_eq!(report.errors, 0, "{label} run produced errors");
-            assert_eq!(report.busy, 0, "{label} run hit admission control");
-        }
-        let ratio = if serial.achieved_rps > 0.0 {
-            pipelined.achieved_rps / serial.achieved_rps
-        } else {
-            f64::INFINITY
-        };
-        let better = best.as_ref().is_none_or(|(.., seen)| ratio > *seen);
-        if better {
-            best = Some((serial, serial_metrics, pipelined, pipelined_metrics, ratio));
-        }
-        if best.as_ref().is_some_and(|(.., seen)| *seen >= 2.2) {
-            break;
+    // parser), arms interleaved so drift in the host's load hits both.
+    let mut runs: [Vec<(LoadReport, MetricsSnapshot)>; 2] = Default::default();
+    for _ in 0..PAIRS {
+        for ((label, pipeline, in_flight), arm_runs) in arms.iter().zip(runs.iter_mut()) {
+            let run = run_mode(
+                "bursty",
+                total_requests,
+                seed,
+                pipeline.clone(),
+                *in_flight,
+                false,
+            );
+            assert_eq!(run.0.errors, 0, "{label} run produced errors");
+            assert_eq!(run.0.busy, 0, "{label} run hit admission control");
+            arm_runs.push(run);
         }
     }
-    let (serial, serial_metrics, pipelined, pipelined_metrics, speedup) =
-        best.expect("at least one timed attempt ran");
-    for (label, report, metrics, speedup_cell) in [
-        (
-            "serial (baseline)",
-            &serial,
-            &serial_metrics,
-            "1.00".to_string(),
-        ),
-        ("pipelined", &pipelined, &pipelined_metrics, f2(speedup)),
-    ] {
+    let mut ratios: Vec<f64> = runs[0]
+        .iter()
+        .zip(&runs[1])
+        .map(|((base, _), (piped, _))| piped.achieved_rps / base.achieved_rps)
+        .collect();
+    let (speedup, speedup_min, speedup_max) = median_min_max(&mut ratios);
+    for ((label, ..), arm_runs) in arms.iter().zip(&runs) {
+        let median = |value: fn(&(LoadReport, MetricsSnapshot)) -> f64| {
+            median_min_max(&mut arm_runs.iter().map(value).collect::<Vec<_>>())
+        };
+        let (rps, rps_min, rps_max) = median(|(report, _)| report.achieved_rps);
         table.push_row(vec![
-            label.to_string(),
-            report.sent.to_string(),
-            f2(report.achieved_rps),
-            f2(report.p50_micros),
-            f2(report.p99_micros),
-            metrics.fresh_solves.to_string(),
-            metrics.coalesced.to_string(),
-            speedup_cell,
+            (*label).to_string(),
+            total_requests.to_string(),
+            f2(rps),
+            f2(rps_min),
+            f2(rps_max),
+            f2(median(|(report, _)| report.p50_micros).0),
+            f2(median(|(report, _)| report.p99_micros).0),
+            median(|(_, metrics)| metrics.fresh_solves as f64)
+                .0
+                .to_string(),
+            median(|(_, metrics)| metrics.coalesced as f64)
+                .0
+                .to_string(),
+            if *label == "pipelined" {
+                f2(speedup)
+            } else {
+                "1.00".to_string()
+            },
         ]);
     }
     table.push_note(format!(
-        "pipelined speedup over the serial per-connection baseline: {:.2}x (target >= 2x)",
-        speedup
+        "pipelined / one-at-a-time req/s over {PAIRS} interleaved pairs: median {speedup:.2}x \
+         (min {speedup_min:.2}x, max {speedup_max:.2}x); the other columns are per-arm medians"
+    ));
+    table.push_note(format!(
+        "host available_parallelism = {}; the load generator runs in the service's process \
+         (in-process TCP)",
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
     ));
     table.push_note(
-        "payloads verified identical modulo ordering; serial mode re-solves duplicates that \
-         racing connections submit concurrently, the pipelined executor coalesces them",
+        "payloads verified identical modulo ordering; the baseline answers every request \
+         alone, the pipelined arm overlaps requests and coalesces concurrent duplicates",
     );
     table
 }
@@ -288,7 +299,7 @@ pub fn run_detail_comparison(config: &RunConfig) -> Table {
             "bursty",
             total_requests,
             seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
+            PipelineConfig::default(),
             64,
             false,
             Some(Detail::Full),
@@ -298,7 +309,7 @@ pub fn run_detail_comparison(config: &RunConfig) -> Table {
             "bursty",
             total_requests,
             seed,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
+            PipelineConfig::default(),
             64,
             false,
             Some(Detail::NoSchedule),
@@ -382,7 +393,7 @@ pub fn run_attribution(config: &RunConfig) -> Table {
         "bursty",
         total_requests,
         config.seed ^ 0x7AC3,
-        ExecutionMode::Pipelined(PipelineConfig::default()),
+        PipelineConfig::default(),
         64,
         false,
         None,
@@ -441,7 +452,7 @@ fn run_drift(total_requests: usize, seed: u64, warm_starts: bool) -> (LoadReport
         ..ServiceConfig::default()
     }));
     for (k, tenant) in tenant_drift_bases(total_requests, seed).iter().enumerate() {
-        let response = service.handle_request(&Request::from_instance(k as u64 + 1, tenant));
+        let response = handle(&service, &Request::from_instance(k as u64 + 1, tenant));
         assert!(response.ok, "priming solve failed: {:?}", response.error);
     }
     let handle = spawn_tcp(
@@ -449,7 +460,7 @@ fn run_drift(total_requests: usize, seed: u64, warm_starts: bool) -> (LoadReport
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            mode: ExecutionMode::Pipelined(PipelineConfig::default()),
+            pipeline: PipelineConfig::default(),
         },
     )
     .expect("ephemeral bind succeeds");
@@ -521,8 +532,8 @@ pub fn run_warm_comparison(config: &RunConfig) -> Table {
         .expect("tenant_drift pool builds");
     let mut compared = 0usize;
     for request in &pool {
-        let warm = warm_svc.handle_request(request);
-        let cold = cold_svc.handle_request(request);
+        let warm = handle(&warm_svc, request);
+        let cold = handle(&cold_svc, request);
         assert_eq!(
             warm.ok, cold.ok,
             "arms disagree on request {}: {:?} vs {:?}",
@@ -634,15 +645,15 @@ mod tests {
         let table = run_comparison(&config);
         assert_eq!(table.num_rows(), 2);
         // run_comparison already asserts payload equality; sanity-check the
-        // speedup column parses and the pipelined row saw no extra solves
-        // than the serial row.
-        let serial_fresh: u64 = table.rows[0][5].parse().unwrap();
-        let pipelined_fresh: u64 = table.rows[1][5].parse().unwrap();
+        // speedup column parses and the pipelined row saw no more solves
+        // than the one-at-a-time row.
+        let baseline_fresh: u64 = table.rows[0][7].parse().unwrap();
+        let pipelined_fresh: u64 = table.rows[1][7].parse().unwrap();
         assert!(
-            pipelined_fresh <= serial_fresh,
-            "coalescing must not increase fresh solves ({pipelined_fresh} vs {serial_fresh})"
+            pipelined_fresh <= baseline_fresh,
+            "coalescing must not increase fresh solves ({pipelined_fresh} vs {baseline_fresh})"
         );
-        let speedup: f64 = table.rows[1][7].parse().unwrap();
+        let speedup: f64 = table.rows[1][9].parse().unwrap();
         assert!(speedup > 0.0);
     }
 

@@ -15,8 +15,6 @@
 //!                                           # instead of a request pool
 //!     [--assert-floor R]                    # exit 1 below R req/s
 //! loadgen --in-process ...                  # spawn a service internally
-//!     [--serial]                            # in-process service runs the
-//!                                           # serial per-connection loop
 //! ```
 //!
 //! `--max-in-flight 1` (the default) is the classic closed loop; larger
@@ -44,8 +42,7 @@
 use std::sync::Arc;
 
 use suu_service::{
-    run_loadgen, spawn_tcp, Detail, ExecutionMode, LoadgenConfig, PipelineConfig, SchedulerService,
-    ServiceConfig, TcpServerConfig,
+    run_loadgen, spawn_tcp, Detail, LoadgenConfig, SchedulerService, ServiceConfig, TcpServerConfig,
 };
 
 fn main() {
@@ -97,29 +94,18 @@ fn main() {
     let assert_floor: Option<f64> = flag_value("--assert-floor").and_then(|v| v.parse().ok());
 
     let in_process = argv.iter().any(|a| a == "--in-process");
-    let serial = argv.iter().any(|a| a == "--serial");
     let handle = if in_process {
         let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-        let mode = if serial {
-            ExecutionMode::Serial
-        } else {
-            ExecutionMode::Pipelined(PipelineConfig::default())
-        };
         let handle = spawn_tcp(
             service,
             &TcpServerConfig {
-                addr: "127.0.0.1:0".to_string(),
                 workers: config.connections.max(4),
-                mode,
+                ..TcpServerConfig::default()
             },
         )
         .expect("ephemeral bind succeeds");
         config.addr = handle.addr().to_string();
-        eprintln!(
-            "loadgen: spawned in-process {} service on {}",
-            if serial { "serial" } else { "pipelined" },
-            config.addr
-        );
+        eprintln!("loadgen: spawned in-process service on {}", config.addr);
         Some(handle)
     } else {
         None

@@ -16,14 +16,15 @@
 //! * [`flight`] — the single-flight layer coalescing identical concurrent
 //!   solves: one solver invocation per `(canonical_digest, solver)` no
 //!   matter how many requests race.
-//! * [`pipeline`] — the pipelined executor: readers parse NDJSON into jobs
+//! * [`pipeline`] — the request executor: readers tag NDJSON lines as jobs
 //!   on a shared bounded queue (full → structured `busy` rejection), a
-//!   solver-thread pool drains it and writes responses out of order.
+//!   solver-thread pool parses and answers them, writing responses out of
+//!   order.
 //! * [`service`] — the [`SchedulerService`](service::SchedulerService)
-//!   combining registry, cache, single-flight and metrics, with the serial
-//!   and pipelined stdin/stdout transports.
-//! * [`server`] — the TCP transport: a listener feeding a worker thread
-//!   pool, in serial (baseline) or pipelined (default) execution mode.
+//!   combining registry, cache, single-flight and metrics behind one
+//!   request entry point, plus the stdin/stdout transport loop.
+//! * [`server`] — the TCP transport: a listener feeding a pool of
+//!   connection readers that share one solver pool.
 //! * [`session`] — adaptive scheduling sessions: a client streams execution
 //!   feedback in (`completed`, `failed_machine`, `drift`) and streams
 //!   incremental schedule revisions out, each re-solved on the unfinished
@@ -72,8 +73,8 @@ pub use protocol::{
     BudgetReport, CachePolicy, Detail, EngineChoice, Request, Response, SolveFailure, SolveOptions,
     TraceReport,
 };
-pub use server::{spawn_tcp, ExecutionMode, ServiceHandle, TcpServerConfig};
-pub use service::{SchedulerService, ServiceConfig, StageContext};
+pub use server::{spawn_tcp, ServiceHandle, TcpServerConfig};
+pub use service::{SchedulerService, ServiceConfig};
 pub use session::{
     drive_session, execute_oblivious, open_session_line, widen_schedule, DriveConfig, SessionEvent,
     SessionRunReport, SessionState, SessionTable, SESSION_SOLVER,

@@ -11,7 +11,7 @@
 //!
 //! * **Closed loop** (`max_in_flight == 1`): each connection sends one
 //!   request, waits for its response, then sends the next — the classic
-//!   serial client, and the baseline for the pipelined-vs-serial benchmark.
+//!   serial client, and the client of the S1b benchmark's baseline arm.
 //! * **Open loop** (`max_in_flight > 1`): each connection keeps sending
 //!   without waiting, capped at `max_in_flight` outstanding requests, and a
 //!   dedicated reader thread matches responses to requests **by id** (the
@@ -408,8 +408,8 @@ pub fn build_request_pool(
                 // pure cache-hit replay after the first few dozen requests,
                 // and size the tenants like real multi-tenant traffic —
                 // large enough that a fresh LP solve visibly dominates a
-                // cache hit, which is exactly the regime where serial
-                // connections racing the same burst waste whole solves.
+                // cache hit, which is exactly the regime where coalescing
+                // connections racing the same burst saves whole solves.
                 config.num_tenants = (total_requests / 25).clamp(6, 32);
                 config.jobs = (24, 40);
                 config.machines = (4, 6);
@@ -452,14 +452,14 @@ pub fn tenant_drift_bases(total_requests: usize, seed: u64) -> Vec<suu_core::Suu
 }
 
 /// The stage names a per-response `trace` object attributes time to, in wire
-/// order. (`parse` is a server-side-only stage: it is never echoed per
-/// response, only aggregated in the `stats` histograms.)
-const TRACE_STAGES: [&str; 4] = ["queue", "solve", "render", "flush"];
+/// order. (`parse` and `flush` are server-side-only stages: they are never
+/// echoed per response, only aggregated in the `stats` histograms.)
+const TRACE_STAGES: [&str; 3] = ["queue", "solve", "render"];
 
-/// The four stage latencies scraped from one response's `trace` object, in
+/// The stage latencies scraped from one response's `trace` object, in
 /// [`TRACE_STAGES`] order.
 #[derive(Debug, Clone, Copy)]
-struct TraceSample([u64; 4]);
+struct TraceSample([u64; TRACE_STAGES.len()]);
 
 #[derive(Default)]
 struct ThreadOutcome {
@@ -560,7 +560,7 @@ fn digest_response_line(
                     trace: resp
                         .trace
                         .as_ref()
-                        .map(|t| TraceSample([t.queue_us, t.solve_us, t.render_us, t.flush_us])),
+                        .map(|t| TraceSample([t.queue_us, t.solve_us, t.render_us])),
                 };
                 let fp = payload_fingerprint(&resp);
                 (Some(summary), Some(fp))
@@ -635,18 +635,17 @@ fn scan_response(line: &str) -> Option<ResponseSummary> {
     // always sits in the tail window.
     let warm = ok && windows_flag("\"warm\":");
     // The trace object is spliced last, so it always sits in the tail window;
-    // scan its four stage fields relative to the `"trace"` key so a request
-    // id or pivot count elsewhere on the line cannot be misread as a stage.
+    // scan its stage fields relative to the `"trace"` key so a request id or
+    // pivot count elsewhere on the line cannot be misread as a stage.
     let trace = if ok {
         tail.find("\"trace\":{").and_then(|at| {
             let obj = &tail[at..];
             let mut stages = [0u64; TRACE_STAGES.len()];
-            for (slot, key) in stages.iter_mut().zip([
-                "\"queue_us\":",
-                "\"solve_us\":",
-                "\"render_us\":",
-                "\"flush_us\":",
-            ]) {
+            for (slot, key) in
+                stages
+                    .iter_mut()
+                    .zip(["\"queue_us\":", "\"solve_us\":", "\"render_us\":"])
+            {
                 *slot = scan_u64_field(obj, key)?;
             }
             Some(TraceSample(stages))
@@ -667,8 +666,9 @@ fn scan_response(line: &str) -> Option<ResponseSummary> {
 }
 
 /// A canonical fingerprint of the parts of a response that must not depend
-/// on execution mode: id, outcome, solver and the schedule itself. Excludes
-/// `cache_hit`, timings and error phrasing, which legitimately vary.
+/// on how the service was sized or loaded: id, outcome, solver and the
+/// schedule itself. Excludes `cache_hit`, timings and error phrasing, which
+/// legitimately vary.
 fn payload_fingerprint(resp: &Response) -> String {
     let schedule_digest = resp.schedule.as_ref().map_or(0, |schedule| {
         let rendered = serde_json::to_string(schedule).expect("schedules serialise");
@@ -1559,7 +1559,6 @@ mod tests {
             queue_us: 11,
             solve_us: 2200,
             render_us: 33,
-            flush_us: 4,
             cache: "hit".to_string(),
             lp_pivots: 555,
             warm: false,
@@ -1569,7 +1568,7 @@ mod tests {
             let (summary, _) = digest_response_line(&line, fingerprint);
             let summary = summary.expect("traced responses digest");
             let trace = summary.trace.expect("trace scraped");
-            assert_eq!(trace.0, [11, 2200, 33, 4], "fingerprint={fingerprint}");
+            assert_eq!(trace.0, [11, 2200, 33], "fingerprint={fingerprint}");
         }
         // Untraced responses scrape no trace, and the scan must not confuse
         // the `lp_pivots` field for a stage.

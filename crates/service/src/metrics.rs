@@ -27,8 +27,10 @@ use crate::obs::{AtomicHistogram, HistogramSnapshot, Stage};
 ///   solver work. This counter is the proof that expired jobs cost zero
 ///   solver-thread time.
 ///
-/// Protocol noise (unparseable lines, answered `bad_request`) and `stats`
-/// verb requests are likewise answered without entering `requests`.
+/// Protocol noise (unparseable lines, answered `bad_request`), `stats` verb
+/// requests and jobs whose handling panicked (answered `solver_error`,
+/// counted in `solver_panics`) are likewise answered without entering
+/// `requests`.
 pub struct ServiceMetrics {
     /// When this metrics block was created (service start, for uptime).
     start: Instant,
@@ -61,15 +63,15 @@ pub struct ServiceMetrics {
     /// Deadline-expired jobs dropped at dequeue; not counted in `requests`
     /// (see the struct docs).
     expired_dropped: AtomicU64,
-    /// Per-stage latency histograms, indexed by [`Stage::index`]. The
-    /// `queue` stage only accumulates under the pipelined executor and the
-    /// `parse` stage only for line-delivered requests; `solve`/`render`
-    /// record once per handled request on every path.
+    /// Jobs whose handling panicked, caught at the solver loop's job
+    /// boundary; not counted in `requests` (see the struct docs).
+    solver_panics: AtomicU64,
+    /// Per-stage latency histograms, indexed by [`Stage::index`] (see
+    /// [`Stage`] for which lines each stage counts).
     stages: [AtomicHistogram; Stage::ALL.len()],
-    /// Most recently sampled solve-queue depth (gauge; pipelined only).
+    /// Most recently sampled solve-queue depth (gauge).
     queue_depth: AtomicU64,
-    /// The solve queue's admission bound (0 until a pipelined transport
-    /// reports it).
+    /// The solve queue's admission bound (0 until a transport reports it).
     queue_capacity: AtomicU64,
     /// Distribution of sampled queue depths (one sample per accepted
     /// submission).
@@ -122,6 +124,7 @@ impl ServiceMetrics {
             unknown_base: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             expired_dropped: AtomicU64::new(0),
+            solver_panics: AtomicU64::new(0),
             stages: Default::default(),
             queue_depth: AtomicU64::new(0),
             queue_capacity: AtomicU64::new(0),
@@ -208,6 +211,11 @@ impl ServiceMetrics {
         self.expired_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one job whose handling panicked (answered `solver_error`).
+    pub fn record_solver_panic(&self) {
+        self.solver_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one session opened via `open_session`.
     pub fn record_session_opened(&self) {
         self.sessions_opened.fetch_add(1, Ordering::Relaxed);
@@ -277,6 +285,12 @@ impl ServiceMetrics {
         self.expired_dropped.load(Ordering::Relaxed)
     }
 
+    /// Number of jobs whose handling panicked so far.
+    #[must_use]
+    pub fn solver_panics(&self) -> u64 {
+        self.solver_panics.load(Ordering::Relaxed)
+    }
+
     /// Number of sessions opened so far.
     #[must_use]
     pub fn sessions_opened(&self) -> u64 {
@@ -344,6 +358,7 @@ impl ServiceMetrics {
             unknown_base: self.unknown_base.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             expired_dropped: self.expired_dropped.load(Ordering::Relaxed),
+            solver_panics: self.solver_panics.load(Ordering::Relaxed),
             stages: Stage::ALL
                 .iter()
                 .map(|&stage| (stage, self.stages[stage.index()].snapshot()))
@@ -397,12 +412,14 @@ pub struct MetricsSnapshot {
     /// Jobs dropped at dequeue with an expired deadline; excluded from
     /// `requests` (see [`ServiceMetrics`]).
     pub expired_dropped: u64,
+    /// Jobs whose handling panicked (answered `solver_error`); excluded from
+    /// `requests` (see [`ServiceMetrics`]).
+    pub solver_panics: u64,
     /// Per-stage latency histograms in pipeline order.
     pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// Most recently sampled solve-queue depth (pipelined transports only).
+    /// Most recently sampled solve-queue depth.
     pub queue_depth: u64,
-    /// Solve-queue admission bound (0 when no pipelined transport reported
-    /// one).
+    /// Solve-queue admission bound (0 when no transport reported one).
     pub queue_capacity: u64,
     /// Distribution of queue-depth samples (one per accepted submission).
     pub queue_depth_samples: HistogramSnapshot,
@@ -452,8 +469,13 @@ impl MetricsSnapshot {
             self.lp_micros.max_bound()
         ));
         out.push_str(&format!(
-            "fresh_solves={} coalesced={} busy_rejections={} expired_dropped={}\n",
-            self.fresh_solves, self.coalesced, self.busy_rejections, self.expired_dropped
+            "fresh_solves={} coalesced={} busy_rejections={} expired_dropped={} \
+             solver_panics={}\n",
+            self.fresh_solves,
+            self.coalesced,
+            self.busy_rejections,
+            self.expired_dropped,
+            self.solver_panics
         ));
         out.push_str(&format!(
             "warm_hits={} unknown_base={}\n",

@@ -308,16 +308,19 @@ impl Deserialize for HistogramSnapshot {
 }
 
 /// The stages of a request's life inside the service, in pipeline order.
-/// Each stage has its own latency histogram in the metrics block; the `queue`
-/// stage only accumulates under the pipelined executor (the serial transport
-/// has no queue).
+/// Each stage has its own latency histogram in the metrics block. `queue`
+/// and `flush` record once per line a solver thread answers — requests,
+/// verbs, unparseable lines, expired and panicked jobs alike — after its
+/// response is written, so a `stats` scrape counts in neither. `parse`,
+/// `solve` and `render` record once per handled scheduling request, so their
+/// counts equal the `requests` counter. Lines a reader answers inline
+/// (`busy`, oversized) count in no stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Accepted → dequeued by a solver thread (pipelined executor only).
+    /// Accepted → dequeued by a solver thread.
     Queue,
-    /// Wire line → parsed [`Request`](crate::protocol::Request) (line
-    /// transports only; cache-interned parses count at their — tiny — real
-    /// cost).
+    /// Wire line → parsed [`Request`](crate::protocol::Request)
+    /// (cache-interned parses count at their — tiny — real cost).
     Parse,
     /// Cache/flight resolution and the LP solve (the whole
     /// lookup-or-solve-or-wait step).

@@ -1,23 +1,24 @@
-//! Pipelined request execution: transport I/O decoupled from solving.
+//! Request execution: transport I/O decoupled from solving.
 //!
-//! The serial transport ([`SchedulerService::serve_lines`]) parses a line,
-//! solves it, writes the response, and only then reads the next line — so one
-//! slow general-DAG solve stalls every request queued behind it on that
-//! connection. This module splits the two roles:
+//! A connection's reader never solves — one slow general-DAG solve would
+//! otherwise stall every request queued behind it on that connection. The
+//! work is split into two roles:
 //!
-//! * **Readers** (one per connection, TCP or stdin) only parse NDJSON lines
-//!   into tagged [`Job`]s and push them onto a shared bounded queue. A full
-//!   queue is answered with a structured `busy` error immediately
-//!   (admission control) — the reader never blocks on the solvers.
+//! * **Readers** (one per connection, TCP or stdin) only tag NDJSON lines as
+//!   [`Job`]s and push them onto a shared bounded queue. A full queue is
+//!   answered with a structured `busy` error immediately (admission
+//!   control) — the reader never blocks on the solvers.
 //! * **Solver threads** (a fixed pool shared by every connection) pop jobs,
-//!   solve them through the single-flight layer, and write each response
-//!   directly to the owning connection's [`ResponseSink`]. Responses
-//!   therefore return **out of submission order**; clients match on the
-//!   echoed `id`.
+//!   parse and solve them through the single-flight layer, and write each
+//!   response directly to the owning connection's [`ResponseSink`].
+//!   Responses therefore return **out of submission order**; clients match
+//!   on the echoed `id`.
 //!
 //! Every accepted job is guaranteed exactly one response: the in-flight
 //! accounting lives in an RAII guard ([`InFlight`]) that the job carries, so
-//! even a job dropped at shutdown releases its connection's drain waiters.
+//! even a job dropped at shutdown releases its connection's drain waiters,
+//! and a job whose handling panics is answered `solver_error` by a solver
+//! thread that survives it.
 //!
 //! Flushing is batched: a solver thread flushes a connection's writer only
 //! when that connection has no further responses in flight, so a pipelined
@@ -27,15 +28,13 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::obs::Stage;
-use crate::protocol::{
-    error_kind, scan_deadline, scan_request_id, scan_u64_field, Request, Response,
-};
+use crate::protocol::{error_kind, scan_deadline, scan_request_id, scan_u64_field, Response};
 use crate::service::{SchedulerService, StageContext};
 
 /// Sizing of the pipelined executor.
@@ -68,10 +67,6 @@ pub struct ResponseSink {
     writer: Mutex<SinkWriter>,
     state: Mutex<SinkState>,
     drained: Condvar,
-    /// Duration of the most recent flush, in microseconds — the `flush_us`
-    /// trace field. Flushes are batched per burst, so this is a
-    /// per-connection figure shared by the requests of the burst.
-    last_flush_us: AtomicU64,
 }
 
 struct SinkWriter {
@@ -94,7 +89,6 @@ impl ResponseSink {
             }),
             state: Mutex::new(SinkState::default()),
             drained: Condvar::new(),
-            last_flush_us: AtomicU64::new(0),
         })
     }
 
@@ -136,7 +130,7 @@ impl ResponseSink {
     }
 
     /// Writes one response and flushes immediately — used by reader threads
-    /// for inline errors (parse failures, `busy`), which should reach the
+    /// for inline errors (oversized lines, `busy`), which should reach the
     /// client promptly even while solves are pending.
     pub fn write_response_now(&self, response: &Response) {
         self.write_response(response);
@@ -149,21 +143,9 @@ impl ResponseSink {
         if writer.failed {
             return;
         }
-        let start = Instant::now();
         if writer.out.flush().is_err() {
             writer.failed = true;
         }
-        self.last_flush_us.store(
-            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Microseconds the most recent flush of this connection took (0 before
-    /// the first flush).
-    #[must_use]
-    pub fn last_flush_us(&self) -> u64 {
-        self.last_flush_us.load(Ordering::Relaxed)
     }
 
     /// Whether a write or flush has failed (client disconnected).
@@ -211,32 +193,21 @@ impl Drop for InFlight {
     }
 }
 
-/// What a job carries: readers push raw lines (parsing happens on the
-/// solver threads, through the service's interned-line cache, so a slow
-/// parse never blocks a connection's reader), while programmatic callers
-/// submit already-parsed requests.
-pub enum JobPayload {
-    /// A raw NDJSON line, not yet parsed.
-    Line(String),
-    /// A parsed request (boxed: requests carry solve options plus an
-    /// optional delta payload, and jobs outnumber the box allocations the
-    /// raw-line path already makes).
-    Request(Box<Request>),
-}
-
-/// One request tagged with the connection it came from.
+/// One raw request line tagged with the connection it came from. Parsing
+/// happens on the solver threads, through the service's interned-line
+/// cache, so a slow parse never blocks a connection's reader.
 pub struct Job {
-    payload: JobPayload,
+    line: String,
     /// Best-effort request id (for `busy` rejections before parsing).
     id_hint: u64,
     /// When the reader accepted the job: relative time budgets are measured
     /// from here, so queueing counts against the budget.
     accepted_at: Instant,
-    /// Effective deadline, scanned best-effort for raw lines (the full parse
+    /// Effective deadline, scanned best-effort from the line (the full parse
     /// recomputes it from the same fields). Solver threads drop jobs whose
     /// deadline has passed at dequeue, without parsing or solving.
     deadline: Option<Instant>,
-    /// Session id scanned from the raw line, when present. Jobs carrying the
+    /// Session id scanned from the line, when present. Jobs carrying the
     /// same session id are executed one at a time in submission order (a
     /// session is a state machine — its revisions must not race), while jobs
     /// of distinct sessions still fan out across the pool.
@@ -245,37 +216,19 @@ pub struct Job {
     _in_flight: InFlight,
 }
 
-/// Stable per-connection token derived from the sink's allocation: even and
-/// nonzero (`Arc` payloads are aligned), so it can never collide with the
-/// serial transport's odd tokens or the anonymous token 0. Used to group a
-/// connection's sessions for disconnect eviction.
-#[must_use]
-pub fn sink_conn_token(sink: &Arc<ResponseSink>) -> u64 {
+/// Stable per-connection token derived from the sink's allocation: nonzero
+/// (`Arc` payloads are never null), so it can never collide with the
+/// anonymous token 0. Used to group a connection's sessions for disconnect
+/// eviction.
+pub(crate) fn sink_conn_token(sink: &Arc<ResponseSink>) -> u64 {
     Arc::as_ptr(sink) as usize as u64
 }
 
 impl Job {
-    /// Tags `request` with the connection sink it must answer to, taking an
-    /// in-flight registration on the sink.
-    #[must_use]
-    pub fn new(request: Request, sink: &Arc<ResponseSink>) -> Self {
-        let accepted_at = Instant::now();
-        let id_hint = request.id;
-        let deadline = request.solve_options().effective_deadline(accepted_at);
-        Self {
-            payload: JobPayload::Request(Box::new(request)),
-            id_hint,
-            accepted_at,
-            deadline,
-            session: None,
-            sink: Arc::clone(sink),
-            _in_flight: sink.begin(),
-        }
-    }
-
-    /// Wraps a raw line; the id and deadline fields are scanned out (best
-    /// effort) so admission rejections can echo the id and expired jobs can
-    /// be dropped at dequeue without a parse.
+    /// Wraps a raw line, taking an in-flight registration on `sink`; the id
+    /// and deadline fields are scanned out (best effort) so admission
+    /// rejections can echo the id and expired jobs can be dropped at dequeue
+    /// without a parse.
     #[must_use]
     pub fn from_line(line: String, sink: &Arc<ResponseSink>) -> Self {
         let accepted_at = Instant::now();
@@ -283,7 +236,7 @@ impl Job {
         let deadline = scan_deadline(&line, accepted_at);
         let session = scan_u64_field(&line, "\"session\":");
         Self {
-            payload: JobPayload::Line(line),
+            line,
             id_hint,
             accepted_at,
             deadline,
@@ -294,7 +247,7 @@ impl Job {
     }
 
     /// The id to echo in a `busy` rejection (0 when it could not be scanned
-    /// from a raw line).
+    /// from the line).
     #[must_use]
     pub fn id_hint(&self) -> u64 {
         self.id_hint
@@ -492,41 +445,49 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
             }
         };
         let session = job.session;
-        // Deadline check at dequeue: a job that expired while queued is
-        // answered immediately and never reaches a solver — the whole point
-        // of deadline-aware admission. Counted like `busy` (answered but not
-        // executed) under the `expired_dropped` metric.
-        if job.expired() {
+        let queue_us = u64::try_from(job.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let failure_line = |kind, message| {
+            let failure = Response::failure_with(job.id_hint(), kind, message);
+            serde_json::to_string(&failure).expect("responses always serialise")
+        };
+        let line = if job.expired() {
+            // Deadline check at dequeue: a job that expired while queued is
+            // answered immediately and never reaches a solver — the whole
+            // point of deadline-aware admission. Counted like `busy`
+            // (answered but not executed) under the `expired_dropped` metric.
             service.metrics().record_expired_dropped();
-            let failure = Response::failure_with(
-                job.id_hint(),
+            failure_line(
                 error_kind::DEADLINE_EXCEEDED,
                 "deadline exceeded while queued; no solver time was spent",
-            );
-            let line = serde_json::to_string(&failure).expect("responses always serialise");
-            job.respond_line(&line);
-            release_session(shared, session);
-            continue;
-        }
-        let queue_us = u64::try_from(job.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-        service.metrics().record_stage(Stage::Queue, queue_us);
-        let ctx = StageContext {
-            queue_us,
-            flush_us: job.sink.last_flush_us(),
-            conn: sink_conn_token(&job.sink),
-        };
-        let line = match &job.payload {
-            JobPayload::Line(raw) => {
-                service.handle_line_coalesced_rendered_ctx(raw, job.accepted_at, ctx)
-            }
-            JobPayload::Request(request) => {
-                service.handle_request_coalesced_rendered_ctx(request, job.accepted_at, ctx)
-            }
+            )
+        } else {
+            let ctx = StageContext {
+                accepted_at: job.accepted_at,
+                queue_us,
+                conn: sink_conn_token(&job.sink),
+            };
+            // A panicking solve must not kill its solver thread (silently
+            // shrinking the pool), leave its client without a response, or
+            // gate its session forever. Coalesced waiters are released by
+            // the flight guard's drop; a mutex held across the panic stays
+            // poisoned, so later requests needing it fail the same way
+            // instead of hanging.
+            catch_unwind(AssertUnwindSafe(|| service.handle(&job.line, &ctx))).unwrap_or_else(
+                |_| {
+                    service.metrics().record_solver_panic();
+                    failure_line(
+                        error_kind::SOLVER_ERROR,
+                        "the solver panicked while handling this request",
+                    )
+                },
+            )
         };
         let flush_start = Instant::now();
         job.respond_line(&line);
         // `respond_line` covers the write and (when this response closed the
-        // burst) the batched flush.
+        // burst) the batched flush. Both stages are recorded only now, so
+        // they count the same lines: every line a solver thread answered.
+        service.metrics().record_stage(Stage::Queue, queue_us);
         service.metrics().record_stage(
             Stage::Flush,
             u64::try_from(flush_start.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -540,6 +501,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
     use crate::service::ServiceConfig;
     use std::io::Write;
     use suu_core::InstanceBuilder;
@@ -574,12 +536,13 @@ mod tests {
         }
     }
 
-    fn request(id: u64, seed: u64) -> Request {
+    fn job(id: u64, seed: u64, sink: &Arc<ResponseSink>) -> Job {
         let inst = InstanceBuilder::new(3, 2)
             .probability_matrix(uniform_matrix(3, 2, 0.3, 0.9, seed))
             .build()
             .unwrap();
-        Request::from_instance(id, &inst)
+        let line = serde_json::to_string(&Request::from_instance(id, &inst)).unwrap();
+        Job::from_line(line, sink)
     }
 
     fn pool(threads: usize, capacity: usize) -> (Arc<SchedulerService>, SolverPool) {
@@ -602,7 +565,7 @@ mod tests {
         let handle = pool.handle();
         for id in 1..=8 {
             handle
-                .try_submit(Job::new(request(id, id), &sink))
+                .try_submit(job(id, id, &sink))
                 .unwrap_or_else(|_| panic!("queue has room"));
         }
         sink.wait_drained();
@@ -623,7 +586,7 @@ mod tests {
         let handle = pool.handle();
         let mut rejected = 0;
         for id in 1..=50 {
-            if let Err(job) = handle.try_submit(Job::new(request(id, 1), &sink)) {
+            if let Err(job) = handle.try_submit(job(id, 1, &sink)) {
                 rejected += 1;
                 drop(job); // releases the in-flight slot
             }
@@ -642,13 +605,13 @@ mod tests {
         let handle = pool.handle();
         for id in 1..=5 {
             handle
-                .try_submit(Job::new(request(id, 2), &sink))
+                .try_submit(job(id, 2, &sink))
                 .unwrap_or_else(|_| panic!("queue has room"));
         }
         pool.shutdown();
         assert_eq!(buf.lines().len(), 5, "shutdown still answers accepted jobs");
         // The queue is closed: new submissions bounce.
-        assert!(handle.try_submit(Job::new(request(9, 2), &sink)).is_err());
+        assert!(handle.try_submit(job(9, 2, &sink)).is_err());
     }
 
     #[test]
@@ -662,7 +625,7 @@ mod tests {
         let gate = sink.begin();
         for id in 1..=16 {
             handle
-                .try_submit(Job::new(request(id, 3), &sink))
+                .try_submit(job(id, 3, &sink))
                 .unwrap_or_else(|_| panic!("queue has room"));
         }
         while handle.queue_depth() > 0 {

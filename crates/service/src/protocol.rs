@@ -83,16 +83,17 @@
 //! ```json
 //! {"id": 5, "ok": true, ..., "service_micros": 240,
 //!  "trace": {"queue_us": 12, "solve_us": 190, "render_us": 3,
-//!            "flush_us": 8, "cache": "miss", "lp_pivots": 44}}
+//!            "cache": "miss", "lp_pivots": 44}}
 //! ```
 //!
-//! `queue_us` is time spent in the solve queue (0 on the serial transports,
-//! which have no queue), `solve_us` covers cache lookup + single-flight +
-//! solving, `render_us` the response serialisation, and `flush_us` the most
-//! recent write-side flush of the connection. `cache` reports how the
-//! schedule was obtained: `"hit"`, `"miss"` (fresh solve) or `"coalesced"`
-//! (waited on an identical in-flight solve). Tracing never forks the cache
-//! key — a traced and an untraced request share cached schedules.
+//! `queue_us` is time spent in the solve queue, `solve_us` covers cache
+//! lookup + single-flight + solving, and `render_us` the response
+//! serialisation. The response is written after its trace is rendered, so
+//! the write and flush cost appears only in the `stats` verb's `flush`
+//! histogram. `cache` reports how the schedule was obtained: `"hit"`,
+//! `"miss"` (fresh solve) or `"coalesced"` (waited on an identical
+//! in-flight solve). Tracing never forks the cache key — a traced and an
+//! untraced request share cached schedules.
 //!
 //! A line of the form `{"id": 3, "verb": "stats"}` is answered (and not
 //! counted as a scheduling request) with a full metrics snapshot:
@@ -797,17 +798,14 @@ impl BudgetReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceReport {
     /// Microseconds spent in the solve queue before a solver thread picked
-    /// the request up (0 on the serial transports, which have no queue).
+    /// the request up (0 for in-process `handle_line` calls, which do not
+    /// queue).
     pub queue_us: u64,
     /// Microseconds from dispatch to a solved schedule: cache lookup,
     /// single-flight coordination and (on a miss) the solve itself.
     pub solve_us: u64,
     /// Microseconds spent rendering the response body.
     pub render_us: u64,
-    /// Microseconds of the most recent write-side flush on this connection
-    /// (flushes are batched across a burst, so this is shared, not
-    /// per-request).
-    pub flush_us: u64,
     /// How the schedule was obtained: `"hit"`, `"miss"` or `"coalesced"`.
     pub cache: String,
     /// Simplex pivots behind this response's schedule (0 when no LP ran).
@@ -1243,7 +1241,6 @@ mod tests {
             queue_us: 12,
             solve_us: 190,
             render_us: 3,
-            flush_us: 8,
             cache: "miss".to_string(),
             lp_pivots: 44,
             warm: false,
@@ -1252,7 +1249,7 @@ mod tests {
         assert!(
             json.contains(
                 "\"trace\":{\"queue_us\":12,\"solve_us\":190,\"render_us\":3,\
-                 \"flush_us\":8,\"cache\":\"miss\",\"lp_pivots\":44,\"warm\":false}"
+                 \"cache\":\"miss\",\"lp_pivots\":44,\"warm\":false}"
             ),
             "json: {json}"
         );

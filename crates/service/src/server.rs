@@ -1,19 +1,12 @@
-//! TCP transport: a listener plus a fixed pool of worker threads.
+//! TCP transport: a listener plus a fixed pool of connection workers.
 //!
 //! Each accepted connection is pushed onto a shared queue; workers pop
 //! connections and serve them until the client closes. The acceptor never
-//! blocks on a slow client. How a connection is *executed* depends on the
-//! [`ExecutionMode`]:
-//!
-//! * [`ExecutionMode::Pipelined`] (the default) — the worker thread only
-//!   parses lines into jobs on a solver-thread pool shared by **all**
-//!   connections ([`SolverPool`]); responses come back out of order, a full
-//!   queue is rejected with a structured `busy` error, and identical
-//!   concurrent solves are coalesced by the single-flight layer.
-//! * [`ExecutionMode::Serial`] — the seed behaviour: the worker runs the
-//!   per-line parse→solve→respond loop ([`SchedulerService::serve_lines`]),
-//!   so one slow solve stalls everything queued behind it on that
-//!   connection. Kept as the benchmark baseline.
+//! blocks on a slow client. A worker only reads: it tags each line as a job
+//! on the solver-thread pool shared by **all** connections ([`SolverPool`]),
+//! so responses come back out of order, a full queue is rejected with a
+//! structured `busy` error, and identical concurrent solves are coalesced by
+//! the single-flight layer.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -22,7 +15,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::pipeline::{PipelineConfig, PoolHandle, SolverPool};
+use crate::pipeline::{PipelineConfig, SolverPool};
 use crate::service::SchedulerService;
 
 /// Connections currently being served, keyed by a registration id so a
@@ -65,33 +58,15 @@ impl ActiveConnections {
     }
 }
 
-/// How accepted connections execute requests.
-#[derive(Debug, Clone)]
-pub enum ExecutionMode {
-    /// Per-connection serial loop (parse → solve → respond → next line).
-    /// The pre-pipelining baseline.
-    Serial,
-    /// Shared bounded solve queue + solver-thread pool; responses may return
-    /// out of order and a full queue yields structured `busy` rejections.
-    Pipelined(PipelineConfig),
-}
-
-impl Default for ExecutionMode {
-    fn default() -> Self {
-        Self::Pipelined(PipelineConfig::default())
-    }
-}
-
 /// TCP transport configuration.
 #[derive(Debug, Clone)]
 pub struct TcpServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Number of connection-serving worker threads (readers, in pipelined
-    /// mode).
+    /// Number of connection-serving worker threads (readers).
     pub workers: usize,
-    /// Request execution mode (pipelined by default).
-    pub mode: ExecutionMode,
+    /// Sizing of the solver pool shared by every connection.
+    pub pipeline: PipelineConfig,
 }
 
 impl Default for TcpServerConfig {
@@ -99,7 +74,7 @@ impl Default for TcpServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            mode: ExecutionMode::default(),
+            pipeline: PipelineConfig::default(),
         }
     }
 }
@@ -112,7 +87,7 @@ pub struct ServiceHandle {
     active: Arc<ActiveConnections>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// The shared solver pool in pipelined mode (`None` when serial).
+    /// The solver pool shared by every connection (`None` once shut down).
     pool: Option<SolverPool>,
 }
 
@@ -183,13 +158,7 @@ pub fn spawn_tcp(
     let active = Arc::new(ActiveConnections::default());
     let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = channel();
     let rx = Arc::new(Mutex::new(rx));
-    let pool = match &config.mode {
-        ExecutionMode::Serial => None,
-        ExecutionMode::Pipelined(pipeline) => {
-            Some(SolverPool::spawn(Arc::clone(&service), pipeline))
-        }
-    };
-    let pool_handle: Option<PoolHandle> = pool.as_ref().map(SolverPool::handle);
+    let pool = SolverPool::spawn(Arc::clone(&service), &config.pipeline);
 
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
@@ -197,7 +166,7 @@ pub fn spawn_tcp(
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             let active = Arc::clone(&active);
-            let pool_handle = pool_handle.clone();
+            let pool_handle = pool.handle();
             std::thread::spawn(move || loop {
                 // Holding the receiver lock only while popping keeps the other
                 // workers free to pick up the next connection.
@@ -242,14 +211,7 @@ pub fn spawn_tcp(
                         let writer = BufWriter::new(stream);
                         // Client disconnects surface as I/O errors; the worker
                         // just moves on to the next connection.
-                        match &pool_handle {
-                            Some(pool) => {
-                                let _ = service.serve_lines_pipelined(reader, writer, pool);
-                            }
-                            None => {
-                                let _ = service.serve_lines(reader, writer);
-                            }
-                        }
+                        let _ = service.serve_lines(reader, writer, &pool_handle);
                         active.deregister(id);
                     }
                     Err(_) => return, // channel closed: shutdown
@@ -282,7 +244,7 @@ pub fn spawn_tcp(
         active,
         acceptor: Some(acceptor),
         workers,
-        pool,
+        pool: Some(pool),
     })
 }
 
@@ -295,12 +257,12 @@ mod tests {
     use suu_core::InstanceBuilder;
     use suu_workloads::uniform_matrix;
 
-    fn start_with(mode: ExecutionMode) -> ServiceHandle {
+    fn start_with(pipeline: PipelineConfig) -> ServiceHandle {
         let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
         spawn_tcp(
             service,
             &TcpServerConfig {
-                mode,
+                pipeline,
                 ..TcpServerConfig::default()
             },
         )
@@ -308,7 +270,7 @@ mod tests {
     }
 
     fn start() -> ServiceHandle {
-        start_with(ExecutionMode::default())
+        start_with(PipelineConfig::default())
     }
 
     fn request(id: u64, seed: u64) -> String {
@@ -332,48 +294,38 @@ mod tests {
 
     #[test]
     fn serves_a_request_over_tcp() {
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-        ] {
-            let handle = start_with(mode);
-            let resp = roundtrip(handle.addr(), &request(1, 31));
-            assert!(resp.ok, "error: {:?}", resp.error);
-            assert_eq!(resp.id, 1);
-            handle.shutdown();
-        }
+        let handle = start();
+        let resp = roundtrip(handle.addr(), &request(1, 31));
+        assert!(resp.ok, "error: {:?}", resp.error);
+        assert_eq!(resp.id, 1);
+        handle.shutdown();
     }
 
     #[test]
     fn multiple_requests_on_one_connection() {
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-        ] {
-            let handle = start_with(mode);
-            let stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            for id in 1..=3 {
-                writeln!(writer, "{}", request(id, 32)).unwrap();
-                writer.flush().unwrap();
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                let resp: Response = serde_json::from_str(&line).unwrap();
-                assert!(resp.ok);
-                assert_eq!(resp.id, id);
-                assert_eq!(resp.cache_hit, id > 1);
-            }
-            handle.shutdown();
+        let handle = start();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        for id in 1..=3 {
+            writeln!(writer, "{}", request(id, 32)).unwrap();
+            writer.flush().unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let resp: Response = serde_json::from_str(&line).unwrap();
+            assert!(resp.ok);
+            assert_eq!(resp.id, id);
+            assert_eq!(resp.cache_hit, id > 1);
         }
+        handle.shutdown();
     }
 
     #[test]
     fn pipelined_burst_answers_every_id_on_one_connection() {
-        let handle = start_with(ExecutionMode::Pipelined(PipelineConfig {
+        let handle = start_with(PipelineConfig {
             solver_threads: 2,
             queue_capacity: 64,
-        }));
+        });
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);

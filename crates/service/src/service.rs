@@ -15,7 +15,7 @@ use crate::cache::{CacheConfig, CachedSolve, ScheduleCache};
 use crate::flight::{Flight, SingleFlight};
 use crate::metrics::ServiceMetrics;
 use crate::obs::Stage;
-use crate::pipeline::{Job, PoolHandle, ResponseSink};
+use crate::pipeline::{sink_conn_token, Job, PoolHandle, ResponseSink};
 use crate::protocol::{
     digest_from_wire, error_kind, scan_request_id, BudgetReport, CachePolicy, Detail, Request,
     Response, SolveFailure, SolveOptions, TraceReport,
@@ -62,6 +62,11 @@ impl Directives {
     fn expired(&self) -> bool {
         self.limits.expired()
     }
+
+    /// Whether the request set a budget of its own (pivots or a deadline).
+    fn budgeted(&self) -> bool {
+        self.limits.max_pivots.is_some() || self.limits.deadline.is_some()
+    }
 }
 
 /// How a request's schedule was obtained — the `trace.cache` vocabulary.
@@ -91,20 +96,25 @@ impl CacheOutcome {
     }
 }
 
-/// Stage timings the *transport* already knows when it hands a request to
-/// the service — the pipelined executor passes the request's queue wait and
-/// the connection's most recent flush cost so they can be echoed in the
-/// `trace` response object. The serial transports have neither (both 0).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageContext {
+/// What the transport knows about a request when it hands it to the
+/// service: when it was accepted, how long it queued (echoed in the `trace`
+/// response object) and which connection owns it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageContext {
+    /// When the transport accepted the request. Relative time budgets are
+    /// measured from here, so queueing counts against the budget.
+    pub(crate) accepted_at: Instant,
     /// Microseconds the request waited in the solve queue.
-    pub queue_us: u64,
-    /// Microseconds of the connection's most recent write-side flush.
-    pub flush_us: u64,
+    pub(crate) queue_us: u64,
     /// Opaque connection token grouping session verbs for disconnect
     /// eviction (0 = anonymous: sessions opened this way only expire by
     /// idle TTL).
-    pub conn: u64,
+    pub(crate) conn: u64,
+}
+
+/// Microseconds elapsed since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Serialises a protocol [`Response`] to its wire line (no trailing `\n`).
@@ -310,115 +320,174 @@ impl SchedulerService {
         &self.sessions
     }
 
-    /// Handles one request end to end: validate, dispatch, consult the
-    /// cache, solve on miss, optionally estimate the makespan.
-    ///
-    /// This is the *serial* entry point: concurrent duplicates each run
-    /// their own solve (first-insert-wins in the cache). The pipelined
-    /// executor uses [`handle_request_coalesced`](Self::handle_request_coalesced)
-    /// instead.
+    /// Answers one raw NDJSON line with its response line (no trailing
+    /// `\n`): validate, dispatch, consult the cache, solve on miss through
+    /// the single-flight layer, optionally estimate the makespan. Parse
+    /// failures yield a `bad_request` response whose id is scanned out of
+    /// the line best-effort (0 when absent) rather than tearing the
+    /// connection down. Lines carrying a `verb` field are protocol commands
+    /// (`stats` and the session verbs). Sessions opened through this entry
+    /// point are anonymous (connection token 0): they expire by idle TTL,
+    /// not by disconnect.
     #[must_use]
-    pub fn handle_request(&self, request: &Request) -> Response {
-        self.handle_with(request, false, Instant::now(), StageContext::default())
+    pub fn handle_line(&self, line: &str) -> String {
+        self.handle(
+            line,
+            &StageContext {
+                accepted_at: Instant::now(),
+                queue_us: 0,
+                conn: 0,
+            },
+        )
     }
 
-    /// Like [`handle_request`](Self::handle_request), but concurrent
-    /// requests with the same `canonical_digest()` (and solver) are
-    /// coalesced through the single-flight layer: exactly one solve runs,
-    /// the duplicates wait on its result and report `cache_hit`.
-    #[must_use]
-    pub fn handle_request_coalesced(&self, request: &Request) -> Response {
-        self.handle_with(request, true, Instant::now(), StageContext::default())
-    }
-
-    fn handle_with(
-        &self,
-        request: &Request,
-        coalesce: bool,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> Response {
-        let start = Instant::now();
-        let mut response = self.solve_request(request, coalesce, accepted_at, ctx);
-        response.service_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record(
-            response.solver.as_deref(),
-            response.ok,
-            response.service_micros,
-        );
-        self.metrics
-            .record_stage(Stage::Solve, response.service_micros);
-        let micros = response.service_micros;
-        if let Some(trace) = response.trace.as_mut() {
-            trace.solve_us = micros;
+    /// The solver pool's handler: [`handle_line`](Self::handle_line) under
+    /// the transport's [`StageContext`].
+    pub(crate) fn handle(&self, line: &str, ctx: &StageContext) -> String {
+        if let Some(reply) = self.try_handle_verb(line, ctx.conn) {
+            return reply;
         }
-        response
+        let parse_start = Instant::now();
+        match self.parse_line_cached(line) {
+            Ok((id, request)) => {
+                self.metrics
+                    .record_stage(Stage::Parse, micros_since(parse_start));
+                self.respond(&request, id, ctx)
+            }
+            Err(err) => {
+                // Protocol noise is answered but not counted as a handled
+                // request in the metrics.
+                render_response(&Response::failure_with(
+                    scan_request_id(line),
+                    error_kind::BAD_REQUEST,
+                    format!("bad request: {err}"),
+                ))
+            }
+        }
     }
 
-    fn solve_request(
-        &self,
-        request: &Request,
-        coalesce: bool,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> Response {
+    /// Answers `request` under `id` (interned requests carry the id of their
+    /// first submission; every later envelope gets its own).
+    ///
+    /// The solve's [rendered body](CachedSolve::rendered_body) is spliced
+    /// into the response envelope: re-serialising a multi-kilobyte schedule
+    /// per response dominates the cost of a cache hit, so it is rendered
+    /// once per solve and the bytes are reused. The spliced line parses to
+    /// exactly the [`Response`] the struct serialiser would produce.
+    /// Requests that ask for a makespan estimate are rendered from the
+    /// struct instead, since the estimate is computed per request.
+    fn respond(&self, request: &Request, id: u64, ctx: &StageContext) -> String {
+        let start = Instant::now();
         let options = request.solve_options();
-        let directives = Directives::new(&options, accepted_at);
-        let outcome = match self.solve_flow(request, &directives, coalesce) {
+        let directives = Directives::new(&options, ctx.accepted_at);
+        let outcome = match self.solve_flow(request, &directives) {
             Ok(outcome) => outcome,
-            Err(failure) => return failure,
+            Err(mut failure) => {
+                failure.id = id;
+                failure.service_micros = micros_since(start);
+                self.metrics.record(None, false, failure.service_micros);
+                self.metrics
+                    .record_stage(Stage::Solve, failure.service_micros);
+                let render_start = Instant::now();
+                let line = render_response(&failure);
+                self.metrics
+                    .record_stage(Stage::Render, micros_since(render_start));
+                return line;
+            }
         };
-
-        // The estimate is skipped when the deadline has already passed: the
-        // client asked for bounded latency, and the schedule itself is the
-        // part it cannot recompute.
-        let estimated_makespan = request
-            .estimate_trials
-            .filter(|&trials| trials > 0 && !directives.expired())
-            .and_then(|trials| {
-                self.estimate_makespan(
-                    &outcome.instance,
-                    &outcome.solved,
-                    trials.min(self.config.max_estimate_trials),
-                )
-            });
-
-        // `solve_us` is patched in by `handle_with` once the total handling
-        // time is known; `render_us` stays 0 on this (slow, struct-building)
-        // path — serialisation happens in the caller.
-        let trace = options.trace.then(|| TraceReport {
+        let trace = |solve_us, render_us| TraceReport {
             queue_us: ctx.queue_us,
-            solve_us: 0,
-            render_us: 0,
-            flush_us: ctx.flush_us,
+            solve_us,
+            render_us,
             cache: outcome.cache.as_wire().to_string(),
             lp_pivots: outcome.solved.lp_pivots.unwrap_or(0) as u64,
             warm: outcome.solved.lp_warm,
-        });
+        };
 
-        Response {
-            id: request.id,
-            ok: true,
-            error: None,
-            error_kind: None,
-            solver: Some(outcome.solved.solver.clone()),
-            cache_hit: outcome.cache.as_cache_hit(),
-            schedule_len: outcome.solved.schedule.len(),
-            lp_value: outcome.solved.lp_value,
-            lp_pivots: outcome.solved.lp_pivots,
-            lp_micros: outcome.solved.lp_micros,
-            schedule: Some(outcome.solved.schedule),
-            estimated_makespan,
-            service_micros: 0,
-            degraded: outcome.degraded,
-            budget: outcome.budget,
-            trace,
+        if request.estimate_trials.is_some_and(|t| t > 0)
+            || directives.detail == Detail::EstimateOnly
+        {
+            // The estimate is skipped when the deadline has already passed:
+            // the client asked for bounded latency, and the schedule itself
+            // is the part it cannot recompute.
+            let estimated_makespan = request
+                .estimate_trials
+                .filter(|&trials| trials > 0 && !directives.expired())
+                .and_then(|trials| {
+                    self.estimate_makespan(
+                        &outcome.instance,
+                        &outcome.solved,
+                        trials.min(self.config.max_estimate_trials),
+                    )
+                });
+            let micros = micros_since(start);
+            self.metrics.record_stage(Stage::Solve, micros);
+            self.metrics
+                .record(Some(&outcome.solved.solver), true, micros);
+            let response = Response {
+                id,
+                ok: true,
+                error: None,
+                error_kind: None,
+                solver: Some(outcome.solved.solver.clone()),
+                cache_hit: outcome.cache.as_cache_hit(),
+                schedule_len: outcome.solved.schedule.len(),
+                lp_value: outcome.solved.lp_value,
+                lp_pivots: outcome.solved.lp_pivots,
+                lp_micros: outcome.solved.lp_micros,
+                schedule: Some(outcome.solved.schedule),
+                estimated_makespan,
+                service_micros: micros,
+                degraded: outcome.degraded,
+                budget: outcome.budget,
+                trace: options.trace.then(|| trace(micros, 0)),
+            }
+            .project(directives.detail);
+            let render_start = Instant::now();
+            let line = render_response(&response);
+            self.metrics
+                .record_stage(Stage::Render, micros_since(render_start));
+            return line;
         }
-        .project(directives.detail)
+
+        let solve_us = micros_since(start);
+        self.metrics.record_stage(Stage::Solve, solve_us);
+        let render_start = Instant::now();
+        let body = match directives.detail {
+            Detail::NoSchedule => outcome.solved.rendered_body_no_schedule(),
+            Detail::Full | Detail::EstimateOnly => outcome.solved.rendered_body(),
+        };
+        // The v2 fields are spliced in only when set, so v1 responses keep
+        // their exact historical bytes.
+        let mut extra = String::new();
+        if outcome.degraded {
+            extra.push_str(",\"degraded\":true");
+        }
+        if let Some(budget) = &outcome.budget {
+            extra.push_str(",\"budget\":");
+            extra.push_str(&serde_json::to_string(budget).expect("budget reports serialise"));
+        }
+        let render_us = micros_since(render_start);
+        self.metrics.record_stage(Stage::Render, render_us);
+        if options.trace {
+            extra.push_str(",\"trace\":");
+            extra.push_str(
+                &serde_json::to_string(&trace(solve_us, render_us))
+                    .expect("trace reports serialise"),
+            );
+        }
+        let micros = micros_since(start);
+        self.metrics
+            .record(Some(&outcome.solved.solver), true, micros);
+        let cache_hit = outcome.cache.as_cache_hit();
+        format!(
+            "{{\"id\":{id},\"ok\":true,\"error\":null,\"error_kind\":null,{body},\
+             \"cache_hit\":{cache_hit},\"estimated_makespan\":null,\
+             \"service_micros\":{micros}{extra}}}"
+        )
     }
 
-    /// Shared validate → dispatch → lookup/solve flow behind both the
-    /// struct-building and the rendered response paths.
+    /// The validate → dispatch → lookup/solve flow behind every response.
     // The Err variant is the ready-to-send failure response; boxing it would
     // just move the allocation into the hot success path's caller.
     #[allow(clippy::result_large_err)]
@@ -426,7 +495,6 @@ impl SchedulerService {
         &self,
         request: &Request,
         directives: &Directives,
-        coalesce: bool,
     ) -> Result<SolveOutcome, Response> {
         if request
             .num_jobs
@@ -480,24 +548,7 @@ impl SchedulerService {
             },
         };
 
-        // Whether this request carries a budget of its own. An *unbudgeted*
-        // request can still see a budget failure by inheriting a budgeted
-        // leader's outcome through the flight layer (budgets deliberately
-        // don't fork the flight key); failures are never cached, so such a
-        // request simply retries under its own unbounded limits — a v1
-        // client must not be degraded by a stranger's budget.
-        let budgeted =
-            directives.limits.max_pivots.is_some() || directives.limits.deadline.is_some();
-        let mut result = self.lookup_or_solve(&instance, solver, directives, coalesce);
-        if !budgeted {
-            let mut retries = 0;
-            while retries < 2 && matches!(&result, Err(f) if f.kind == error_kind::BUDGET_EXHAUSTED)
-            {
-                result = self.lookup_or_solve(&instance, solver, directives, coalesce);
-                retries += 1;
-            }
-        }
-        match result {
+        match self.lookup_or_solve(&instance, solver, directives) {
             Ok((solved, cache)) => Ok(SolveOutcome {
                 instance,
                 solved,
@@ -506,7 +557,7 @@ impl SchedulerService {
                 budget: None,
             }),
             Err(failure)
-                if budgeted
+                if directives.budgeted()
                     && failure.kind == error_kind::BUDGET_EXHAUSTED
                     && request.solver.is_none()
                     && solver.name() != FALLBACK_SOLVER =>
@@ -532,7 +583,7 @@ impl SchedulerService {
                     variant: 0,
                     ..*directives
                 };
-                match self.lookup_or_solve(&instance, fallback, &relaxed, coalesce) {
+                match self.lookup_or_solve(&instance, fallback, &relaxed) {
                     Ok((solved, cache)) => Ok(SolveOutcome {
                         instance,
                         solved,
@@ -545,16 +596,7 @@ impl SchedulerService {
                     }
                 }
             }
-            Err(mut failure) => {
-                if !budgeted {
-                    // Pathological race (repeatedly inheriting budgeted
-                    // leaders' failures past the retries): keep the error
-                    // but never leak the v2 budget post-mortem to a request
-                    // that set no budget.
-                    failure.budget = None;
-                }
-                Err(Response::from_failure(request.id, &failure))
-            }
+            Err(failure) => Err(Response::from_failure(request.id, &failure)),
         }
     }
 
@@ -624,197 +666,6 @@ impl SchedulerService {
         Ok(instance)
     }
 
-    /// The pipelined executor's handler: coalesced like
-    /// [`handle_request_coalesced`](Self::handle_request_coalesced), but
-    /// returns the serialised NDJSON response line directly, splicing the
-    /// solve's [rendered body](CachedSolve::rendered_body) into the response
-    /// envelope whenever possible. Re-serialising a multi-kilobyte schedule
-    /// per response dominates the cost of a cache hit; rendering it once per
-    /// solve and reusing the bytes is what lets the pipelined mode answer
-    /// repeat-heavy traffic at a multiple of the serial baseline's rate.
-    ///
-    /// The spliced line parses to exactly the [`Response`] the slow path
-    /// would have produced (same serde rendering underneath); requests that
-    /// ask for a makespan estimate take the slow path, since the estimate is
-    /// computed per request.
-    #[must_use]
-    pub fn handle_request_coalesced_rendered(&self, request: &Request) -> String {
-        self.rendered_with_id(request, request.id, Instant::now(), StageContext::default())
-    }
-
-    /// Like
-    /// [`handle_request_coalesced_rendered`](Self::handle_request_coalesced_rendered)
-    /// with an explicit acceptance time, from which relative time budgets
-    /// are measured (the pipelined executor passes the enqueue time, so
-    /// queueing counts against the budget).
-    #[must_use]
-    pub fn handle_request_coalesced_rendered_at(
-        &self,
-        request: &Request,
-        accepted_at: Instant,
-    ) -> String {
-        self.rendered_with_id(request, request.id, accepted_at, StageContext::default())
-    }
-
-    /// [`handle_request_coalesced_rendered_at`](Self::handle_request_coalesced_rendered_at)
-    /// with the transport's [`StageContext`] (queue wait and last flush
-    /// cost), echoed in the `trace` object when the request asked for one.
-    #[must_use]
-    pub fn handle_request_coalesced_rendered_ctx(
-        &self,
-        request: &Request,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
-        self.rendered_with_id(request, request.id, accepted_at, ctx)
-    }
-
-    /// The pipelined executor's raw-line handler: parse (through the
-    /// interned-line cache), then the rendered coalesced path. Parse
-    /// failures yield a structured `bad_request` response whose id is the
-    /// best-effort scan of the line, like [`handle_line`](Self::handle_line).
-    #[must_use]
-    pub fn handle_line_coalesced_rendered(&self, line: &str) -> String {
-        self.handle_line_coalesced_rendered_at(line, Instant::now())
-    }
-
-    /// [`handle_line_coalesced_rendered`](Self::handle_line_coalesced_rendered)
-    /// with an explicit acceptance time for budget accounting.
-    #[must_use]
-    pub fn handle_line_coalesced_rendered_at(&self, line: &str, accepted_at: Instant) -> String {
-        self.handle_line_coalesced_rendered_ctx(line, accepted_at, StageContext::default())
-    }
-
-    /// [`handle_line_coalesced_rendered_at`](Self::handle_line_coalesced_rendered_at)
-    /// with the transport's [`StageContext`] for trace echoing.
-    #[must_use]
-    pub fn handle_line_coalesced_rendered_ctx(
-        &self,
-        line: &str,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
-        if let Some(reply) = self.try_handle_verb(line, ctx.conn) {
-            return reply;
-        }
-        let parse_start = Instant::now();
-        match self.parse_line_cached(line) {
-            Ok((id, request)) => {
-                self.metrics.record_stage(
-                    Stage::Parse,
-                    u64::try_from(parse_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                self.rendered_with_id(&request, id, accepted_at, ctx)
-            }
-            Err(err) => {
-                // Like the serial `handle_line`: protocol noise is answered
-                // but not counted as a handled request in the metrics. The
-                // id is scanned out best-effort so the client can match the
-                // error to a request.
-                let failure = Response::failure_with(
-                    scan_request_id(line),
-                    error_kind::BAD_REQUEST,
-                    format!("bad request: {err}"),
-                );
-                serde_json::to_string(&failure).expect("responses always serialise")
-            }
-        }
-    }
-
-    /// `request` with `id` substituted (interned requests carry the id of
-    /// their first submission; every later envelope gets its own).
-    fn rendered_with_id(
-        &self,
-        request: &Request,
-        id: u64,
-        accepted_at: Instant,
-        ctx: StageContext,
-    ) -> String {
-        let start = Instant::now();
-        let options = request.solve_options();
-        let directives = Directives::new(&options, accepted_at);
-        if request.estimate_trials.filter(|&t| t > 0).is_some()
-            || directives.detail == Detail::EstimateOnly
-        {
-            // Estimates are computed per request: take the slow path with
-            // the id patched through.
-            let mut own = request.clone();
-            own.id = id;
-            let response = self.handle_with(&own, true, accepted_at, ctx);
-            let render_start = Instant::now();
-            let line = serde_json::to_string(&response).expect("responses always serialise");
-            self.metrics.record_stage(
-                Stage::Render,
-                u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            );
-            return line;
-        }
-        match self.solve_flow(request, &directives, true) {
-            Ok(outcome) => {
-                let solve_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.metrics.record_stage(Stage::Solve, solve_us);
-                let render_start = Instant::now();
-                let body = match directives.detail {
-                    Detail::NoSchedule => outcome.solved.rendered_body_no_schedule(),
-                    Detail::Full | Detail::EstimateOnly => outcome.solved.rendered_body(),
-                };
-                // The v2 fields are spliced in only when set, so v1
-                // responses keep their exact historical bytes.
-                let mut extra = String::new();
-                if outcome.degraded {
-                    extra.push_str(",\"degraded\":true");
-                }
-                if let Some(budget) = &outcome.budget {
-                    extra.push_str(",\"budget\":");
-                    extra.push_str(
-                        &serde_json::to_string(budget).expect("budget reports serialise"),
-                    );
-                }
-                let render_us =
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.metrics.record_stage(Stage::Render, render_us);
-                if options.trace {
-                    let trace = TraceReport {
-                        queue_us: ctx.queue_us,
-                        solve_us,
-                        render_us,
-                        flush_us: ctx.flush_us,
-                        cache: outcome.cache.as_wire().to_string(),
-                        lp_pivots: outcome.solved.lp_pivots.unwrap_or(0) as u64,
-                        warm: outcome.solved.lp_warm,
-                    };
-                    extra.push_str(",\"trace\":");
-                    extra
-                        .push_str(&serde_json::to_string(&trace).expect("trace reports serialise"));
-                }
-                let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.metrics
-                    .record(Some(&outcome.solved.solver), true, micros);
-                let cache_hit = outcome.cache.as_cache_hit();
-                format!(
-                    "{{\"id\":{id},\"ok\":true,\"error\":null,\"error_kind\":null,{body},\
-                     \"cache_hit\":{cache_hit},\"estimated_makespan\":null,\
-                     \"service_micros\":{micros}{extra}}}"
-                )
-            }
-            Err(mut failure) => {
-                failure.id = id;
-                failure.service_micros =
-                    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.metrics.record(None, false, failure.service_micros);
-                self.metrics
-                    .record_stage(Stage::Solve, failure.service_micros);
-                let render_start = Instant::now();
-                let line = serde_json::to_string(&failure).expect("responses always serialise");
-                self.metrics.record_stage(
-                    Stage::Render,
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                line
-            }
-        }
-    }
-
     /// Parses a request line, interning canonical lines so repeats of the
     /// same body (identical bytes modulo the id digits) skip the JSON parse
     /// entirely. See [`LineCache`].
@@ -855,10 +706,9 @@ impl SchedulerService {
     }
 
     /// Resolves a schedule for `(instance, solver, variant)` under the
-    /// request's cache policy: cache hit, fresh solve, or (when `coalesce`
-    /// is set) a wait on an identical in-flight solve. The [`CacheOutcome`]
-    /// distinguishes the three for the response's `cache_hit` flag and the
-    /// `trace.cache` field.
+    /// request's cache policy: cache hit, fresh solve, or a wait on an
+    /// identical in-flight solve. The [`CacheOutcome`] distinguishes the
+    /// three for the response's `cache_hit` flag and the `trace.cache` field.
     ///
     /// `Bypass` and `Refresh` requests demand their own fresh solve, so they
     /// go around both the cache read and the single-flight layer (they never
@@ -869,7 +719,6 @@ impl SchedulerService {
         instance: &SuuInstance,
         solver: &dyn Solver,
         directives: &Directives,
-        coalesce: bool,
     ) -> Result<(CachedSolve, CacheOutcome), SolveFailure> {
         let variant = directives.variant;
         match directives.cache {
@@ -885,54 +734,57 @@ impl SchedulerService {
             }
             CachePolicy::Default => {}
         }
-        if !coalesce {
-            // Serial semantics: concurrent duplicates race (first insert
-            // wins). Kept as the baseline path for `serve_lines` and for the
-            // pipelined-vs-serial benchmark.
-            if let Some(hit) = self.cache.get(instance, solver.name(), variant) {
-                return Ok((hit, CacheOutcome::Hit));
-            }
-            return self
-                .run_solver(instance, solver, &directives.limits, Some(variant))
-                .map(|s| (s, CacheOutcome::Miss));
-        }
         let key = (
             instance.canonical_digest(),
             variant,
             solver.name().to_string(),
         );
-        match self
-            .flight
-            .begin(key, || self.cache.get(instance, solver.name(), variant))
-        {
-            Ok(hit) => Ok((hit, CacheOutcome::Hit)),
-            Err(Flight::Lead(guard)) => {
-                match self.run_solver(instance, solver, &directives.limits, Some(variant)) {
-                    Ok(solved) => {
-                        // `run_solver` already inserted into the cache, so
-                        // publishing (which clears the slot) is safe now.
-                        guard.publish(Ok(solved.clone()));
-                        Ok((solved, CacheOutcome::Miss))
-                    }
-                    Err(failure) => {
-                        guard.publish(Err(failure.clone()));
+        let mut retries = 0;
+        loop {
+            match self.flight.begin(key.clone(), || {
+                self.cache.get(instance, solver.name(), variant)
+            }) {
+                Ok(hit) => return Ok((hit, CacheOutcome::Hit)),
+                Err(Flight::Lead(guard)) => {
+                    let result =
+                        self.run_solver(instance, solver, &directives.limits, Some(variant));
+                    // `run_solver` already inserted into the cache, so
+                    // publishing (which clears the slot) is safe now.
+                    guard.publish(result.clone());
+                    return result.map(|solved| (solved, CacheOutcome::Miss));
+                }
+                Err(Flight::Follow(flight)) => {
+                    self.metrics.record_coalesced();
+                    // Followers inherit the leader's outcome — including a
+                    // budget exhaustion under the *leader's* limits. Budgets
+                    // don't fork the flight key (a success is bit-identical
+                    // either way), and failures are not cached, so a request
+                    // without a budget of its own retries under its own
+                    // unbounded limits: a v1 client must not be degraded by a
+                    // stranger's budget. The follower's own deadline keeps
+                    // binding while parked: the wait gives up at that instant
+                    // with a structured time-budget failure.
+                    match flight.wait_until(directives.limits.deadline) {
+                        Ok(solved) => return Ok((solved, CacheOutcome::Coalesced)),
                         Err(failure)
+                            if !directives.budgeted()
+                                && failure.kind == error_kind::BUDGET_EXHAUSTED =>
+                        {
+                            if retries == 2 {
+                                // Pathological race (repeatedly inheriting
+                                // budgeted leaders' failures): keep the error
+                                // but never leak the v2 budget post-mortem to
+                                // a request that set no budget.
+                                return Err(SolveFailure {
+                                    budget: None,
+                                    ..failure
+                                });
+                            }
+                            retries += 1;
+                        }
+                        Err(failure) => return Err(failure),
                     }
                 }
-            }
-            Err(Flight::Follow(flight)) => {
-                self.metrics.record_coalesced();
-                // Followers inherit the leader's outcome — including a
-                // budget exhaustion under the *leader's* limits. Budgets
-                // don't fork the flight key (a success is bit-identical
-                // either way), and failures are not cached, so a follower
-                // that wants to pay more simply retries (`solve_flow` does
-                // exactly that for unbudgeted requests). The follower's own
-                // deadline keeps binding while parked: the wait gives up at
-                // that instant with a structured time-budget failure.
-                flight
-                    .wait_until(directives.limits.deadline)
-                    .map(|solved| (solved, CacheOutcome::Coalesced))
             }
         }
     }
@@ -1047,53 +899,6 @@ impl SchedulerService {
         Some(stats.mean())
     }
 
-    /// Handles one raw NDJSON line. Parse failures yield an error response
-    /// (with the line's `"id"` scanned out best-effort, 0 when absent)
-    /// rather than tearing the connection down. Lines carrying a `verb`
-    /// field are protocol commands (`stats` and the session verbs),
-    /// answered without entering the scheduling path. Sessions opened
-    /// through this entry point are anonymous (conn token 0): they expire by
-    /// idle TTL, not by disconnect.
-    #[must_use]
-    pub fn handle_line(&self, line: &str) -> String {
-        self.handle_line_with_conn(line, 0)
-    }
-
-    /// [`handle_line`](Self::handle_line) with an explicit connection token
-    /// for session ownership — the serial transports pass a per-connection
-    /// token so sessions die with their connection.
-    fn handle_line_with_conn(&self, line: &str, conn: u64) -> String {
-        if let Some(reply) = self.try_handle_verb(line, conn) {
-            return reply;
-        }
-        let parse_start = Instant::now();
-        match serde_json::from_str::<Request>(line) {
-            Ok(request) => {
-                self.metrics.record_stage(
-                    Stage::Parse,
-                    u64::try_from(parse_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                let response = self.handle_request(&request);
-                let render_start = Instant::now();
-                let rendered =
-                    serde_json::to_string(&response).expect("responses always serialise");
-                self.metrics.record_stage(
-                    Stage::Render,
-                    u64::try_from(render_start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                rendered
-            }
-            Err(err) => {
-                let failure = Response::failure_with(
-                    scan_request_id(line),
-                    error_kind::BAD_REQUEST,
-                    format!("bad request: {err}"),
-                );
-                serde_json::to_string(&failure).expect("responses always serialise")
-            }
-        }
-    }
-
     /// Intercepts protocol-command lines (`{"id": N, "verb": "stats"}`).
     /// Returns `None` for ordinary scheduling requests — a line only counts
     /// as a command when it parses as JSON *and* carries a `verb` key.
@@ -1140,17 +945,19 @@ impl SchedulerService {
     }
 
     /// Evicts every session owned by connection token `conn` — called by the
-    /// transports when a connection ends (EOF or error), so sessions die
-    /// with their client instead of leaking until the idle TTL.
-    pub fn evict_connection_sessions(&self, conn: u64) {
+    /// transport when a connection ends (EOF or error), so sessions die with
+    /// their client instead of leaking until the idle TTL.
+    fn evict_connection_sessions(&self, conn: u64) {
         let evicted = self.sessions.evict_connection(conn);
         self.metrics.record_sessions_evicted(evicted);
     }
 
     /// The session revision solve: forced `SUU-C` (the warm-capable solver
-    /// class) through the normal cache + warm-start path, unbudgeted,
-    /// variant 0 — repeated suffixes cache-hit and structural repeats
-    /// warm-start from the previous revision's basis.
+    /// class) through the normal cache + single-flight + warm-start path,
+    /// unbudgeted — repeated suffixes cache-hit or coalesce and structural
+    /// repeats warm-start from the previous revision's basis. Coalescing is
+    /// deadlock-free although the caller holds its session's state lock: a
+    /// flight leader never takes a session lock.
     #[allow(clippy::result_large_err)]
     fn solve_session_instance(
         &self,
@@ -1184,7 +991,7 @@ impl SchedulerService {
             detail: Detail::Full,
             variant: 2,
         };
-        match self.lookup_or_solve(instance, solver, &directives, false) {
+        match self.lookup_or_solve(instance, solver, &directives) {
             Ok((solved, _)) => Ok(solved),
             Err(failure) => Err(Response::from_failure(id, &failure)),
         }
@@ -1441,8 +1248,7 @@ impl SchedulerService {
 
     /// Renders the `stats` verb response: `{"id": N, "ok": true, "stats":
     /// {...}}` with the full metrics snapshot (see the protocol docs).
-    #[must_use]
-    pub fn stats_response_line(&self, id: u64) -> String {
+    fn stats_response_line(&self, id: u64) -> String {
         Value::Object(vec![
             ("id".to_string(), id.to_value()),
             ("ok".to_string(), true.to_value()),
@@ -1496,6 +1302,7 @@ impl SchedulerService {
                 "expired_dropped".to_string(),
                 snap.expired_dropped.to_value(),
             ),
+            ("solver_panics".to_string(), snap.solver_panics.to_value()),
             ("fresh_solves".to_string(), snap.fresh_solves.to_value()),
             ("warm_hits".to_string(), snap.warm_hits.to_value()),
             ("unknown_base".to_string(), snap.unknown_base.to_value()),
@@ -1567,74 +1374,32 @@ impl SchedulerService {
         ])
     }
 
-    /// Serves NDJSON requests from `input` to `output` until EOF — the
-    /// stdin/stdout transport, also used per-connection by the TCP server.
+    /// Serves NDJSON requests from `input` until EOF — the stdin/stdout
+    /// transport, also used per connection by the TCP server. The calling
+    /// thread only reads lines into jobs on the shared solve queue (`pool`);
+    /// solver threads parse and answer them, writing the responses to
+    /// `output` as they finish, possibly **out of submission order** (clients
+    /// match on `id`).
+    ///
     /// Lines longer than [`ServiceConfig::max_line_bytes`] are discarded
-    /// (never fully buffered) and answered with an error response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying reader/writer.
-    pub fn serve_lines<R: BufRead, W: Write>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> std::io::Result<()> {
-        // Odd, process-unique connection token. The pipelined transport
-        // derives its tokens from `Arc` allocation addresses (always even),
-        // so the two families can never collide; 0 stays the anonymous
-        // token of bare `handle_line` calls.
-        static NEXT_CONN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let conn = NEXT_CONN
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            .wrapping_mul(2)
-            .wrapping_add(1);
-        let result = (|| loop {
-            let reply = match read_line_bounded(&mut input, self.config.max_line_bytes)? {
-                BoundedLine::Eof => return Ok(()),
-                BoundedLine::Line(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    self.handle_line_with_conn(&line, conn)
-                }
-                BoundedLine::TooLong => {
-                    let failure = self.line_too_long_response();
-                    serde_json::to_string(&failure).expect("responses always serialise")
-                }
-            };
-            output.write_all(reply.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-        })();
-        // The connection is gone (EOF or I/O error) — its sessions go too.
-        self.evict_connection_sessions(conn);
-        result
-    }
-
-    /// Serves NDJSON requests from `input` with **pipelined** execution: the
-    /// calling thread only parses lines into jobs on the shared solve queue
-    /// (`pool`); solver threads write the responses to `output` as they
-    /// finish, possibly **out of submission order** (clients match on `id`).
-    ///
-    /// Parse failures and oversized lines are answered inline by this
-    /// thread; a full queue is answered with a structured `busy` error
-    /// (admission control) instead of blocking. On EOF the call drains:
-    /// it blocks until every accepted job's response has been written, so a
-    /// closing connection never loses responses.
+    /// (never fully buffered) and answered inline by this thread; a full
+    /// queue is answered with a structured `busy` error (admission control)
+    /// instead of blocking. On EOF the call drains: it blocks until every
+    /// accepted job's response has been written, so a closing connection
+    /// never loses responses.
     ///
     /// # Errors
     ///
     /// Propagates read errors; a broken write half ends the loop early with
     /// an error after in-flight jobs complete.
-    pub fn serve_lines_pipelined<R: BufRead, W: Write + Send + 'static>(
+    pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
         &self,
         mut input: R,
         output: W,
         pool: &PoolHandle,
     ) -> std::io::Result<()> {
         let sink = ResponseSink::new(output);
-        let conn = crate::pipeline::sink_conn_token(&sink);
+        let conn = sink_conn_token(&sink);
         self.metrics.set_queue_capacity(pool.capacity() as u64);
         loop {
             if sink.failed() {
@@ -1750,11 +1515,55 @@ fn read_line_bounded<R: BufRead>(input: &mut R, limit: usize) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{PipelineConfig, SolverPool};
     use suu_core::InstanceBuilder;
     use suu_workloads::uniform_matrix;
 
     fn service() -> SchedulerService {
         SchedulerService::new(ServiceConfig::default())
+    }
+
+    /// Answers `request` through the line entry point.
+    fn handle(svc: &SchedulerService, request: &Request) -> Response {
+        let line = serde_json::to_string(request).unwrap();
+        serde_json::from_str(&svc.handle_line(&line)).unwrap()
+    }
+
+    /// A `Write` into a shared buffer (`serve_lines` owns its writer).
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `input` over the stdin transport with one solver thread, so
+    /// responses come back in submission order.
+    fn serve(svc: &Arc<SchedulerService>, input: &str) -> Vec<Response> {
+        let pool = SolverPool::spawn(
+            Arc::clone(svc),
+            &PipelineConfig {
+                solver_threads: 1,
+                queue_capacity: 64,
+            },
+        );
+        let out = SharedBuf::default();
+        svc.serve_lines(input.as_bytes(), out.clone(), &pool.handle())
+            .unwrap();
+        pool.shutdown();
+        let bytes = out.0.lock().unwrap().clone();
+        String::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect()
     }
 
     fn chain_request(id: u64) -> Request {
@@ -1769,14 +1578,14 @@ mod tests {
     #[test]
     fn solve_then_cache_hit() {
         let svc = service();
-        let first = svc.handle_request(&chain_request(1));
+        let first = handle(&svc, &chain_request(1));
         assert!(first.ok, "error: {:?}", first.error);
         assert_eq!(first.solver.as_deref(), Some("suu-c"));
         assert!(!first.cache_hit);
         assert!(first.schedule_len > 0);
         assert!(first.lp_value.is_some());
 
-        let second = svc.handle_request(&chain_request(2));
+        let second = handle(&svc, &chain_request(2));
         assert!(second.ok);
         assert!(second.cache_hit);
         assert_eq!(second.id, 2);
@@ -1787,7 +1596,7 @@ mod tests {
     #[test]
     fn lp_effort_is_reported_and_aggregated_once() {
         let svc = service();
-        let first = svc.handle_request(&chain_request(1));
+        let first = handle(&svc, &chain_request(1));
         assert!(first.ok);
         assert_eq!(first.solver.as_deref(), Some("suu-c"));
         let pivots = first.lp_pivots.expect("suu-c reports pivots");
@@ -1796,7 +1605,7 @@ mod tests {
 
         // The cache hit repeats the original solve's numbers in the response
         // but must not inflate the aggregate LP counters.
-        let second = svc.handle_request(&chain_request(2));
+        let second = handle(&svc, &chain_request(2));
         assert!(second.cache_hit);
         assert_eq!(second.lp_pivots, Some(pivots));
         let snap = svc.metrics().snapshot();
@@ -1809,11 +1618,11 @@ mod tests {
         let svc = service();
         let mut auto = chain_request(1);
         auto.solver = None;
-        assert_eq!(svc.handle_request(&auto).solver.as_deref(), Some("suu-c"));
+        assert_eq!(handle(&svc, &auto).solver.as_deref(), Some("suu-c"));
 
         let mut forced = chain_request(2);
         forced.solver = Some("serial-baseline".to_string());
-        let resp = svc.handle_request(&forced);
+        let resp = handle(&svc, &forced);
         assert!(resp.ok);
         assert_eq!(resp.solver.as_deref(), Some("serial-baseline"));
         assert!(
@@ -1827,14 +1636,14 @@ mod tests {
         let svc = service();
         let mut req = chain_request(1);
         req.solver = Some("warp-drive".to_string());
-        let resp = svc.handle_request(&req);
+        let resp = handle(&svc, &req);
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("unknown solver"));
 
         // suu-i-obl requires independent jobs; this instance is a chain.
         let mut req = chain_request(2);
         req.solver = Some("suu-i-obl".to_string());
-        let resp = svc.handle_request(&req);
+        let resp = handle(&svc, &req);
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("does not support"));
     }
@@ -1845,7 +1654,7 @@ mod tests {
             max_cells: 4,
             ..ServiceConfig::default()
         });
-        let resp = svc.handle_request(&chain_request(1)); // 3 x 2 = 6 cells
+        let resp = handle(&svc, &chain_request(1)); // 3 x 2 = 6 cells
         assert!(!resp.ok);
         assert!(resp.error.unwrap().contains("too large"));
 
@@ -1861,7 +1670,7 @@ mod tests {
             base_digest: None,
             delta: None,
         };
-        let resp = svc.handle_request(&bad);
+        let resp = handle(&svc, &bad);
         assert!(!resp.ok, "job 1 has no capable machine");
     }
 
@@ -1870,7 +1679,7 @@ mod tests {
         let svc = service();
         let mut req = chain_request(1);
         req.estimate_trials = Some(20);
-        let resp = svc.handle_request(&req);
+        let resp = handle(&svc, &req);
         assert!(resp.ok);
         let est = resp.estimated_makespan.unwrap();
         assert!(est.is_finite());
@@ -1887,45 +1696,41 @@ mod tests {
         });
         let mut req = chain_request(1);
         req.estimate_trials = Some(10);
-        let resp = svc.handle_request(&req);
+        let resp = handle(&svc, &req);
         assert!(resp.ok);
         assert_eq!(resp.estimated_makespan, None);
     }
 
     #[test]
     fn oversized_lines_get_an_error_response_and_service_continues() {
-        let svc = SchedulerService::new(ServiceConfig {
+        let svc = Arc::new(SchedulerService::new(ServiceConfig {
             max_line_bytes: 512,
             ..ServiceConfig::default()
-        });
+        }));
         let good = serde_json::to_string(&chain_request(5)).unwrap();
         assert!(good.len() <= 512, "test request must fit the limit");
         let huge = "x".repeat(10_000);
-        let input = format!("{huge}\n{good}\n");
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = output.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: Response = serde_json::from_str(lines[0]).unwrap();
+        let responses = serve(&svc, &format!("{huge}\n{good}\n"));
+        assert_eq!(responses.len(), 2);
+        let first = &responses[0];
         assert!(!first.ok);
-        assert!(first.error.unwrap().contains("byte"));
-        let second: Response = serde_json::from_str(lines[1]).unwrap();
-        assert!(second.ok, "service keeps serving after an oversized line");
+        assert!(first.error.as_ref().unwrap().contains("byte"));
+        assert!(
+            responses[1].ok,
+            "service keeps serving after an oversized line"
+        );
     }
 
     #[test]
     fn oversized_final_line_without_newline_is_rejected() {
-        let svc = SchedulerService::new(ServiceConfig {
+        let svc = Arc::new(SchedulerService::new(ServiceConfig {
             max_line_bytes: 64,
             ..ServiceConfig::default()
-        });
-        let input = "y".repeat(1_000); // no trailing newline, over the limit
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let resp: Response = serde_json::from_str(output.lines().next().unwrap()).unwrap();
-        assert!(!resp.ok);
+        }));
+        // No trailing newline, over the limit.
+        let responses = serve(&svc, &"y".repeat(1_000));
+        assert_eq!(responses.len(), 1);
+        assert!(!responses[0].ok);
     }
 
     #[test]
@@ -1940,17 +1745,11 @@ mod tests {
 
     #[test]
     fn serve_lines_is_one_response_per_request() {
-        let svc = service();
+        let svc = Arc::new(service());
         let req = serde_json::to_string(&chain_request(5)).unwrap();
-        let input = format!("{req}\n\nnot-json\n{req}\n");
-        let mut output = Vec::new();
-        svc.serve_lines(input.as_bytes(), &mut output).unwrap();
-        let output = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = output.lines().collect();
-        assert_eq!(lines.len(), 3, "blank lines are skipped");
-        let first: Response = serde_json::from_str(lines[0]).unwrap();
-        let garbage: Response = serde_json::from_str(lines[1]).unwrap();
-        let third: Response = serde_json::from_str(lines[2]).unwrap();
+        let responses = serve(&svc, &format!("{req}\n\nnot-json\n{req}\n"));
+        assert_eq!(responses.len(), 3, "blank lines are skipped");
+        let (first, garbage, third) = (&responses[0], &responses[1], &responses[2]);
         assert!(first.ok && !first.cache_hit);
         assert!(!garbage.ok);
         assert!(third.ok && third.cache_hit);
@@ -1972,7 +1771,7 @@ mod tests {
 
         let svc = service();
         let base = chain_instance(21);
-        let first = svc.handle_request(&Request::from_instance(1, &base));
+        let first = handle(&svc, &Request::from_instance(1, &base));
         assert!(first.ok, "base solve failed: {:?}", first.error);
 
         let delta = InstanceDelta {
@@ -1980,10 +1779,13 @@ mod tests {
             ..InstanceDelta::default()
         };
         let edited = base.apply_delta(&delta).unwrap();
-        let reference = svc.handle_request(&Request::from_instance(2, &edited));
+        let reference = handle(&svc, &Request::from_instance(2, &edited));
         assert!(reference.ok);
 
-        let via_delta = svc.handle_request(&Request::from_delta(3, base.canonical_digest(), delta));
+        let via_delta = handle(
+            &svc,
+            &Request::from_delta(3, base.canonical_digest(), delta),
+        );
         assert!(via_delta.ok, "delta solve failed: {:?}", via_delta.error);
         assert_eq!(via_delta.schedule, reference.schedule);
         assert_eq!(via_delta.lp_value, reference.lp_value);
@@ -2000,11 +1802,10 @@ mod tests {
         use suu_core::InstanceDelta;
 
         let svc = service();
-        let missing = svc.handle_request(&Request::from_delta(
-            7,
-            0xdead_beef_dead_beef,
-            InstanceDelta::default(),
-        ));
+        let missing = handle(
+            &svc,
+            &Request::from_delta(7, 0xdead_beef_dead_beef, InstanceDelta::default()),
+        );
         assert!(!missing.ok);
         assert_eq!(
             missing.error_kind.as_deref(),
@@ -2014,7 +1815,7 @@ mod tests {
 
         let mut malformed = Request::from_delta(8, 0, InstanceDelta::default());
         malformed.base_digest = Some("NOT-A-DIGEST".to_string());
-        let resp = svc.handle_request(&malformed);
+        let resp = handle(&svc, &malformed);
         assert!(!resp.ok);
         assert_eq!(resp.error_kind.as_deref(), Some(error_kind::INVALID_DELTA));
     }
@@ -2025,22 +1826,21 @@ mod tests {
 
         let svc = service();
         let base = chain_instance(21);
-        assert!(svc.handle_request(&Request::from_instance(1, &base)).ok);
+        assert!(handle(&svc, &Request::from_instance(1, &base)).ok);
 
         let bad = InstanceDelta {
             set_prob: vec![(99, 0, 0.5)],
             ..InstanceDelta::default()
         };
-        let resp = svc.handle_request(&Request::from_delta(2, base.canonical_digest(), bad));
+        let resp = handle(&svc, &Request::from_delta(2, base.canonical_digest(), bad));
         assert!(!resp.ok);
         assert_eq!(resp.error_kind.as_deref(), Some(error_kind::INVALID_DELTA));
 
         // The base is still solvable by digest afterwards.
-        let again = svc.handle_request(&Request::from_delta(
-            3,
-            base.canonical_digest(),
-            InstanceDelta::default(),
-        ));
+        let again = handle(
+            &svc,
+            &Request::from_delta(3, base.canonical_digest(), InstanceDelta::default()),
+        );
         assert!(again.ok);
         assert!(again.cache_hit, "empty delta resolves to the cached base");
     }
@@ -2058,7 +1858,7 @@ mod tests {
 
         let mut first = Request::from_instance(1, &chain_instance(21));
         first.options = Some(options);
-        let cold = svc.handle_request(&first);
+        let cold = handle(&svc, &first);
         assert!(cold.ok, "cold solve failed: {:?}", cold.error);
         assert!(!cold.trace.as_ref().unwrap().warm, "first solve is cold");
 
@@ -2066,7 +1866,7 @@ mod tests {
         // start from the first solve's final basis.
         let mut second = Request::from_instance(2, &chain_instance(22));
         second.options = Some(options);
-        let warm = svc.handle_request(&second);
+        let warm = handle(&svc, &second);
         assert!(warm.ok, "warm solve failed: {:?}", warm.error);
         assert!(
             warm.trace.as_ref().unwrap().warm,
@@ -2082,19 +1882,19 @@ mod tests {
         for (id, seed) in [(1, 21), (2, 22)] {
             let mut req = Request::from_instance(id, &chain_instance(seed));
             req.options = Some(options);
-            let resp = cold_svc.handle_request(&req);
+            let resp = handle(&cold_svc, &req);
             assert!(resp.ok);
             assert!(!resp.trace.as_ref().unwrap().warm);
         }
         assert_eq!(cold_svc.metrics().snapshot().warm_hits, 0);
 
         // Warm and cold services computed identical artifacts.
-        let warm_line = svc.handle_request(&{
+        let warm_line = handle(&svc, &{
             let mut req = Request::from_instance(9, &chain_instance(22));
             req.options = Some(options);
             req
         });
-        let cold_line = cold_svc.handle_request(&{
+        let cold_line = handle(&cold_svc, &{
             let mut req = Request::from_instance(9, &chain_instance(22));
             req.options = Some(options);
             req

@@ -16,6 +16,12 @@ fn service() -> SchedulerService {
     SchedulerService::new(ServiceConfig::default())
 }
 
+/// Answers `request` through the line entry point.
+fn handle(svc: &SchedulerService, request: &Request) -> Response {
+    let line = serde_json::to_string(request).unwrap();
+    serde_json::from_str(&svc.handle_line(&line)).unwrap()
+}
+
 /// A forest instance big enough that its (LP1) pipeline needs many pivots.
 fn large_forest_request(id: u64) -> Request {
     let n = 24;
@@ -56,7 +62,7 @@ fn one_pivot_budget_on_a_large_forest_degrades_instead_of_hanging() {
             ..SolveOptions::default()
         },
     );
-    let resp = svc.handle_request(&req);
+    let resp = handle(&svc, &req);
     assert!(resp.ok, "degraded fallback still serves: {:?}", resp.error);
     assert!(resp.degraded);
     assert_eq!(resp.solver.as_deref(), Some("serial-baseline"));
@@ -81,7 +87,7 @@ fn forced_solver_with_exhausted_budget_errors_with_budget_exhausted() {
         },
     );
     req.solver = Some("suu-forest".to_string());
-    let resp = svc.handle_request(&req);
+    let resp = handle(&svc, &req);
     assert!(!resp.ok);
     assert_eq!(
         resp.error_kind.as_deref(),
@@ -94,17 +100,20 @@ fn forced_solver_with_exhausted_budget_errors_with_budget_exhausted() {
 #[test]
 fn generous_budget_reproduces_the_unbudgeted_response() {
     let svc = service();
-    let free = svc.handle_request(&large_forest_request(3));
+    let free = handle(&svc, &large_forest_request(3));
     assert!(free.ok);
     let svc2 = service();
-    let budgeted = svc2.handle_request(&with_options(
-        large_forest_request(3),
-        SolveOptions {
-            max_pivots: Some(10_000_000),
-            time_budget_ms: Some(600_000),
-            ..SolveOptions::default()
-        },
-    ));
+    let budgeted = handle(
+        &svc2,
+        &with_options(
+            large_forest_request(3),
+            SolveOptions {
+                max_pivots: Some(10_000_000),
+                time_budget_ms: Some(600_000),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(budgeted.ok);
     assert!(!budgeted.degraded);
     assert_eq!(budgeted.schedule, free.schedule);
@@ -114,13 +123,16 @@ fn generous_budget_reproduces_the_unbudgeted_response() {
 #[test]
 fn zero_time_budget_is_deadline_exceeded_without_solving() {
     let svc = service();
-    let resp = svc.handle_request(&with_options(
-        chain_request(4),
-        SolveOptions {
-            time_budget_ms: Some(0),
-            ..SolveOptions::default()
-        },
-    ));
+    let resp = handle(
+        &svc,
+        &with_options(
+            chain_request(4),
+            SolveOptions {
+                time_budget_ms: Some(0),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(!resp.ok);
     assert_eq!(
         resp.error_kind.as_deref(),
@@ -135,29 +147,35 @@ fn projection_does_not_fork_the_cache_key() {
     // same instance must hit that entry (and vice versa) — projection is
     // presentation only.
     let svc = service();
-    let first = svc.handle_request(&chain_request(1));
+    let first = handle(&svc, &chain_request(1));
     assert!(first.ok && !first.cache_hit);
 
-    let trimmed = svc.handle_request(&with_options(
-        chain_request(2),
-        SolveOptions {
-            detail: Some(Detail::NoSchedule),
-            ..SolveOptions::default()
-        },
-    ));
+    let trimmed = handle(
+        &svc,
+        &with_options(
+            chain_request(2),
+            SolveOptions {
+                detail: Some(Detail::NoSchedule),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(trimmed.ok);
     assert!(trimmed.cache_hit, "projection must not fork the cache key");
     assert!(trimmed.schedule.is_none());
     assert_eq!(trimmed.schedule_len, first.schedule_len);
     assert_eq!(trimmed.lp_pivots, first.lp_pivots);
 
-    let estimate_only = svc.handle_request(&with_options(
-        chain_request(3),
-        SolveOptions {
-            detail: Some(Detail::EstimateOnly),
-            ..SolveOptions::default()
-        },
-    ));
+    let estimate_only = handle(
+        &svc,
+        &with_options(
+            chain_request(3),
+            SolveOptions {
+                detail: Some(Detail::EstimateOnly),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(estimate_only.ok && estimate_only.cache_hit);
     assert!(estimate_only.schedule.is_none());
     assert!(estimate_only.lp_pivots.is_none());
@@ -186,7 +204,7 @@ fn projection_does_not_fork_the_single_flight_key() {
                 };
                 let req = with_options(chain_request(k), options);
                 barrier.wait();
-                let resp = svc.handle_request_coalesced(&req);
+                let resp = handle(&svc, &req);
                 assert!(resp.ok, "error: {:?}", resp.error);
                 resp
             })
@@ -205,46 +223,58 @@ fn projection_does_not_fork_the_single_flight_key() {
 #[test]
 fn forced_engines_fork_the_cache_key_but_auto_does_not() {
     let svc = service();
-    let auto = svc.handle_request(&chain_request(1));
+    let auto = handle(&svc, &chain_request(1));
     assert!(auto.ok && !auto.cache_hit);
 
     // Explicit auto is the same artifact as absent options.
-    let explicit_auto = svc.handle_request(&with_options(
-        chain_request(2),
-        SolveOptions {
-            engine: Some(EngineChoice::Auto),
-            ..SolveOptions::default()
-        },
-    ));
+    let explicit_auto = handle(
+        &svc,
+        &with_options(
+            chain_request(2),
+            SolveOptions {
+                engine: Some(EngineChoice::Auto),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(explicit_auto.cache_hit, "auto shares the default variant");
 
     // Forced engines solve (and cache) separately.
-    let dense = svc.handle_request(&with_options(
-        chain_request(3),
-        SolveOptions {
-            engine: Some(EngineChoice::Dense),
-            ..SolveOptions::default()
-        },
-    ));
+    let dense = handle(
+        &svc,
+        &with_options(
+            chain_request(3),
+            SolveOptions {
+                engine: Some(EngineChoice::Dense),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(
         dense.ok && !dense.cache_hit,
         "dense variant is its own entry"
     );
-    let dense_again = svc.handle_request(&with_options(
-        chain_request(4),
-        SolveOptions {
-            engine: Some(EngineChoice::Dense),
-            ..SolveOptions::default()
-        },
-    ));
+    let dense_again = handle(
+        &svc,
+        &with_options(
+            chain_request(4),
+            SolveOptions {
+                engine: Some(EngineChoice::Dense),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(dense_again.cache_hit);
-    let revised = svc.handle_request(&with_options(
-        chain_request(5),
-        SolveOptions {
-            engine: Some(EngineChoice::Revised),
-            ..SolveOptions::default()
-        },
-    ));
+    let revised = handle(
+        &svc,
+        &with_options(
+            chain_request(5),
+            SolveOptions {
+                engine: Some(EngineChoice::Revised),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(revised.ok && !revised.cache_hit);
     // Same LP, so both engines land on the same optimum.
     assert_eq!(dense.lp_value, revised.lp_value);
@@ -253,36 +283,42 @@ fn forced_engines_fork_the_cache_key_but_auto_does_not() {
 #[test]
 fn cache_policies_bypass_and_refresh() {
     let svc = service();
-    let warm = svc.handle_request(&chain_request(1));
+    let warm = handle(&svc, &chain_request(1));
     assert!(warm.ok && !warm.cache_hit);
     assert_eq!(svc.cache().len(), 1);
 
     // Bypass: fresh solve, no cache interaction.
-    let bypass = svc.handle_request(&with_options(
-        chain_request(2),
-        SolveOptions {
-            cache: Some(CachePolicy::Bypass),
-            ..SolveOptions::default()
-        },
-    ));
+    let bypass = handle(
+        &svc,
+        &with_options(
+            chain_request(2),
+            SolveOptions {
+                cache: Some(CachePolicy::Bypass),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(bypass.ok && !bypass.cache_hit);
     assert_eq!(svc.cache().len(), 1, "bypass must not grow the cache");
     assert_eq!(svc.metrics().fresh_solves(), 2);
 
     // Refresh: fresh solve, result replaces the entry.
-    let refresh = svc.handle_request(&with_options(
-        chain_request(3),
-        SolveOptions {
-            cache: Some(CachePolicy::Refresh),
-            ..SolveOptions::default()
-        },
-    ));
+    let refresh = handle(
+        &svc,
+        &with_options(
+            chain_request(3),
+            SolveOptions {
+                cache: Some(CachePolicy::Refresh),
+                ..SolveOptions::default()
+            },
+        ),
+    );
     assert!(refresh.ok && !refresh.cache_hit);
     assert_eq!(svc.cache().len(), 1);
     assert_eq!(svc.metrics().fresh_solves(), 3);
 
     // A later default request hits the refreshed entry.
-    let hit = svc.handle_request(&chain_request(4));
+    let hit = handle(&svc, &chain_request(4));
     assert!(hit.cache_hit);
     assert_eq!(svc.metrics().fresh_solves(), 3);
 }
@@ -298,7 +334,7 @@ fn estimate_only_with_trials_keeps_just_the_estimate() {
         },
     );
     req.estimate_trials = Some(15);
-    let resp = svc.handle_request(&req);
+    let resp = handle(&svc, &req);
     assert!(resp.ok);
     assert!(resp.schedule.is_none());
     assert!(resp.lp_value.is_none());
@@ -345,11 +381,11 @@ fn expired_jobs_are_dropped_at_dequeue_without_solver_work() {
     );
     let buf = SharedBuf::default();
     let sink = ResponseSink::new(buf.clone());
-    let handle = pool.handle();
+    let pool_handle = pool.handle();
 
     // A zero time budget expires the moment the job is accepted: by the
-    // time the solver thread dequeues it, it must be dropped unsolved. One
-    // submitted as a parsed request, one as a raw line (scanned deadline).
+    // time the solver thread dequeues it, it must be dropped unsolved (the
+    // deadline is scanned from the raw line, never parsed).
     let expired_request = with_options(
         large_forest_request(31),
         SolveOptions {
@@ -357,18 +393,18 @@ fn expired_jobs_are_dropped_at_dequeue_without_solver_work() {
             ..SolveOptions::default()
         },
     );
-    handle
-        .try_submit(Job::new(expired_request.clone(), &sink))
-        .unwrap_or_else(|_| panic!("queue has room"));
-    let raw = serde_json::to_string(&expired_request)
-        .unwrap()
-        .replace("\"id\":31", "\"id\":32");
-    handle
-        .try_submit(Job::from_line(raw, &sink))
-        .unwrap_or_else(|_| panic!("queue has room"));
+    let raw = serde_json::to_string(&expired_request).unwrap();
+    for line in [raw.clone(), raw.replace("\"id\":31", "\"id\":32")] {
+        pool_handle
+            .try_submit(Job::from_line(line, &sink))
+            .unwrap_or_else(|_| panic!("queue has room"));
+    }
     // A healthy job behind them still gets served.
-    handle
-        .try_submit(Job::new(chain_request(33), &sink))
+    pool_handle
+        .try_submit(Job::from_line(
+            serde_json::to_string(&chain_request(33)).unwrap(),
+            &sink,
+        ))
         .unwrap_or_else(|_| panic!("queue has room"));
     sink.wait_drained();
     pool.shutdown();
@@ -406,12 +442,6 @@ fn bad_request_echoes_a_scannable_id() {
     assert_eq!(resp.error_kind.as_deref(), Some(error_kind::BAD_REQUEST));
     assert_eq!(resp.id, 77);
 
-    // Same through the pipelined rendered path.
-    let out = svc.handle_line_coalesced_rendered(r#"{"id":88,"num_jobs":"two"}"#);
-    let resp: Response = serde_json::from_str(&out).unwrap();
-    assert!(!resp.ok);
-    assert_eq!(resp.id, 88);
-
     // No scannable id still yields 0.
     let out = svc.handle_line("complete garbage");
     let resp: Response = serde_json::from_str(&out).unwrap();
@@ -420,11 +450,10 @@ fn bad_request_echoes_a_scannable_id() {
 
 #[test]
 fn rendered_fast_path_projects_no_schedule() {
-    // The pipelined fast path splices a pre-rendered no_schedule body; the
-    // result must parse to exactly the projected Response the slow path
-    // builds.
+    // The fast path splices a pre-rendered no_schedule body; the result must
+    // parse to the full response minus its schedule.
     let svc = service();
-    let full_line = svc.handle_request_coalesced_rendered(&chain_request(1));
+    let full_line = svc.handle_line(&serde_json::to_string(&chain_request(1)).unwrap());
     let full: Response = serde_json::from_str(&full_line).unwrap();
     assert!(full.ok && full.schedule.is_some());
 
@@ -435,7 +464,7 @@ fn rendered_fast_path_projects_no_schedule() {
             ..SolveOptions::default()
         },
     );
-    let trimmed_line = svc.handle_request_coalesced_rendered(&trimmed_req);
+    let trimmed_line = svc.handle_line(&serde_json::to_string(&trimmed_req).unwrap());
     assert!(
         trimmed_line.len() < full_line.len() / 2,
         "no_schedule line should be much smaller ({} vs {})",
@@ -448,10 +477,6 @@ fn rendered_fast_path_projects_no_schedule() {
     assert!(trimmed.schedule.is_none());
     assert_eq!(trimmed.schedule_len, full.schedule_len);
     assert_eq!(trimmed.lp_pivots, full.lp_pivots);
-
-    let slow = svc
-        .handle_request_coalesced(&trimmed_req)
-        .project(Detail::NoSchedule);
-    assert_eq!(trimmed.schedule_len, slow.schedule_len);
-    assert_eq!(trimmed.lp_value, slow.lp_value);
+    assert_eq!(trimmed.lp_value, full.lp_value);
+    assert_eq!(trimmed.solver, full.solver);
 }

@@ -1,14 +1,18 @@
 //! Concurrency stress battery for the sharded schedule cache, the
-//! single-flight layer and the pipelined executor's admission control.
+//! single-flight layer and the executor's admission control and fault
+//! containment.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
+use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_service::{
-    spawn_tcp, ExecutionMode, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    TcpServerConfig,
+    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
+    SolveOutput, Solver, SolverRegistry, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -20,9 +24,15 @@ fn chain_instance(seed: u64) -> SuuInstance {
         .unwrap()
 }
 
-/// N threads hammering K distinct instances through the coalesced path must
-/// trigger exactly K solver invocations: every concurrent duplicate either
-/// waits on the leader's flight or hits the cache, never re-solves.
+/// Answers `request` through the line entry point.
+fn handle(service: &SchedulerService, request: &Request) -> Response {
+    let line = serde_json::to_string(request).unwrap();
+    serde_json::from_str(&service.handle_line(&line)).unwrap()
+}
+
+/// N threads hammering K distinct instances must trigger exactly K solver
+/// invocations: every concurrent duplicate either waits on the leader's
+/// flight or hits the cache, never re-solves.
 #[test]
 fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
     const THREADS: usize = 8;
@@ -48,14 +58,13 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
                     let which = round % instances.len();
                     let request =
                         Request::from_instance((t * 1000 + round) as u64, &instances[which]);
-                    let response = service.handle_request_coalesced(&request);
-                    responses.push((which, response));
+                    responses.push((which, handle(&service, &request)));
                     // And a second pass over a *different* instance to mix
                     // cache hits into the contention window.
                     let other = (round + t) % instances.len();
                     let request =
                         Request::from_instance((t * 1000 + 500 + round) as u64, &instances[other]);
-                    responses.push((other, service.handle_request_coalesced(&request)));
+                    responses.push((other, handle(&service, &request)));
                 }
                 responses
             })
@@ -98,43 +107,87 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
     assert_eq!(service.cache().len(), K);
 
     // No poisoned locks: the service still serves.
-    let after = service.handle_request(&Request::from_instance(42, &instances[0]));
+    let after = handle(&service, &Request::from_instance(42, &instances[0]));
     assert!(after.ok && after.cache_hit);
 }
 
-/// The serial (non-coalescing) path is allowed to duplicate solves under the
-/// same contention — that contrast is what the single-flight layer buys.
-#[test]
-fn serial_path_may_duplicate_but_stays_consistent() {
-    const THREADS: usize = 8;
-    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let instance = chain_instance(0xD1CE);
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let service = Arc::clone(&service);
-            let instance = instance.clone();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                service.handle_request(&Request::from_instance(t as u64, &instance))
-            })
-        })
-        .collect();
-    let responses: Vec<Response> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let first = serde_json::to_string(responses[0].schedule.as_ref().unwrap()).unwrap();
-    for resp in &responses {
-        assert!(resp.ok);
-        // Deterministic solvers: even racing duplicates agree bit for bit.
-        assert_eq!(
-            serde_json::to_string(resp.schedule.as_ref().unwrap()).unwrap(),
-            first
-        );
+/// A solver that panics on every instance.
+struct Panicker;
+
+impl Solver for Panicker {
+    fn name(&self) -> &'static str {
+        "panicker"
     }
-    let snapshot = service.metrics().snapshot();
-    assert!(snapshot.fresh_solves >= 1);
-    assert_eq!(snapshot.coalesced, 0, "serial path never coalesces");
-    assert_eq!(service.cache().len(), 1, "duplicates collapse in the cache");
+
+    fn supports(&self, _: &SuuInstance) -> bool {
+        true
+    }
+
+    fn solve(&self, _: &SuuInstance, _: &LpBudget) -> Result<SolveOutput, AlgorithmError> {
+        panic!("deliberate solver panic");
+    }
+}
+
+/// A panicking solve is contained at the job boundary: its request is
+/// answered `solver_error`, the only solver thread survives to answer the
+/// next request, and `stats` counts the panic.
+#[test]
+fn panicking_solver_is_answered_and_the_thread_survives() {
+    let mut registry = SolverRegistry::with_paper_algorithms();
+    registry.register(Box::new(Panicker));
+    let service = Arc::new(SchedulerService::with_registry(
+        ServiceConfig::default(),
+        registry,
+    ));
+    let server = spawn_tcp(
+        Arc::clone(&service),
+        &TcpServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            pipeline: PipelineConfig {
+                solver_threads: 1,
+                queue_capacity: 8,
+            },
+        },
+    )
+    .unwrap();
+
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    let mut doomed = Request::from_instance(1, &chain_instance(0xBAD));
+    doomed.solver = Some("panicker".to_string());
+    writeln!(writer, "{}", serde_json::to_string(&doomed).unwrap()).unwrap();
+    let healthy = Request::from_instance(2, &chain_instance(0x600D));
+    writeln!(writer, "{}", serde_json::to_string(&healthy).unwrap()).unwrap();
+    writer.flush().unwrap();
+
+    // Read on a helper thread so a dead solver thread fails the test with a
+    // timeout instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..2 {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            let _ = tx.send(serde_json::from_str::<Response>(&line).unwrap());
+        }
+    });
+    let first = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the panicking request gets an answer");
+    assert_eq!(first.id, 1);
+    assert!(!first.ok);
+    assert_eq!(first.error_kind.as_deref(), Some(error_kind::SOLVER_ERROR));
+    let second = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the solver thread survives to answer the next request");
+    assert_eq!(second.id, 2);
+    assert!(second.ok, "error: {:?}", second.error);
+    assert_eq!(service.metrics().solver_panics(), 1);
+    drop(writer);
+    server.shutdown();
 }
 
 /// Flooding a tiny queue must produce structured `busy` rejections — not
@@ -150,10 +203,10 @@ fn admission_control_rejects_with_busy_and_connection_survives() {
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            mode: ExecutionMode::Pipelined(PipelineConfig {
+            pipeline: PipelineConfig {
                 solver_threads: 1,
                 queue_capacity: 2,
-            }),
+            },
         },
     )
     .unwrap();

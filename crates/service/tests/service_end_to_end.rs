@@ -5,8 +5,9 @@
 //! that (a) every response's schedule respects the instance's precedence
 //! constraints when executed, (b) repeated instances are served from the
 //! cache (observable via the `cache_hit` response field), and (c) the load
-//! generator sustains ≥ 100 req/s on mixed small instances, recording the
-//! throughput in `BENCH_service_throughput.json`.
+//! generator sustains ≥ 100 req/s on mixed small instances, and a pipelined
+//! open-loop run returns the same payloads as a one-at-a-time baseline. The
+//! timed comparison of the two lives in `exp_service_throughput` (S1b).
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -17,8 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use suu_core::{InstanceBuilder, JobId, SuuInstance};
 use suu_graph::Dag;
 use suu_service::{
-    run_loadgen, spawn_tcp, ExecutionMode, LoadgenConfig, PipelineConfig, Request, Response,
-    SchedulerService, ServiceConfig, ServiceHandle, TcpServerConfig,
+    run_loadgen, spawn_tcp, LoadgenConfig, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, ServiceHandle, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -141,21 +142,14 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
         assert_eq!(response.solver.as_deref(), Some(expected_solvers[*which]));
     }
 
-    // (b) repeats are served from the cache. The default (pipelined) server
-    // coalesces concurrent duplicates, so each instance typically misses
-    // exactly once; the bound stays <= 4 to also tolerate a serial-mode
-    // server, where first submissions may race before the first insert.
-    // (The racing-duplicate semantics of the serial path are pinned in
-    // crates/service/tests/pipeline_stress.rs.)
+    // (b) repeats are served from the cache, and concurrent duplicates are
+    // coalesced onto one solve, so each instance misses exactly once.
     for which in 0..instances.len() {
         let misses = all
             .iter()
             .filter(|(w, r)| *w == which && !r.cache_hit)
             .count();
-        assert!(
-            (1..=4).contains(&misses),
-            "instance {which}: {misses} misses"
-        );
+        assert_eq!(misses, 1, "instance {which}: {misses} misses");
         let hits = all
             .iter()
             .filter(|(w, r)| *w == which && r.cache_hit)
@@ -181,9 +175,9 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
 }
 
 #[test]
-fn loadgen_sustains_100_rps_and_pipelining_beats_serial() {
+fn loadgen_sustains_100_rps_and_pipelining_matches_the_baseline() {
     // Part 1: the absolute floor — closed-loop mixed traffic against the
-    // default (pipelined) service must sustain >= 100 req/s.
+    // default service must sustain >= 100 req/s.
     let handle = start_service(4);
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.addr().to_string(),
@@ -215,20 +209,21 @@ fn loadgen_sustains_100_rps_and_pipelining_beats_serial() {
     );
     assert!(report.p99_micros >= report.p50_micros);
 
-    // Part 2: pipelined-vs-serial on the bursty multi-tenant scenario. The
-    // same pool is replayed against the serial per-connection baseline
-    // (closed-loop client) and the pipelined executor (open-loop client);
-    // payloads must match modulo ordering and the pipelined mode must be at
-    // least 2x faster (it coalesces the duplicate solves that racing serial
-    // connections each pay, and batches its transport syscalls).
-    let run_bursty = |mode: ExecutionMode, max_in_flight: usize, collect_payloads: bool| {
+    // Part 2: the same bursty multi-tenant pool replayed against a
+    // one-at-a-time baseline (one solver thread, closed-loop client) and the
+    // default pool (open-loop client, 64 in flight per connection). Payloads
+    // must match modulo ordering, and coalescing must never add solves.
+    let run_bursty = |solver_threads: usize, max_in_flight: usize| {
         let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
         let handle = spawn_tcp(
             Arc::clone(&service),
             &TcpServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 workers: 4,
-                mode,
+                pipeline: PipelineConfig {
+                    solver_threads,
+                    ..PipelineConfig::default()
+                },
             },
         )
         .expect("ephemeral bind succeeds");
@@ -239,7 +234,7 @@ fn loadgen_sustains_100_rps_and_pipelining_beats_serial() {
             total_requests: 600,
             target_rps: None,
             max_in_flight,
-            collect_payloads,
+            collect_payloads: true,
             deadline_ms: None,
             detail: None,
             trace: false,
@@ -251,176 +246,21 @@ fn loadgen_sustains_100_rps_and_pipelining_beats_serial() {
         handle.shutdown();
         (report, snapshot)
     };
-    // Correctness pass first: both modes replay the pool with payload
-    // collection on (full response parses client-side) and must agree.
-    let (serial_checked, serial_metrics) = run_bursty(ExecutionMode::Serial, 1, true);
-    let (pipelined_checked, pipelined_metrics) = run_bursty(
-        ExecutionMode::Pipelined(PipelineConfig::default()),
-        64,
-        true,
-    );
-    for (label, rep) in [
-        ("serial", &serial_checked),
-        ("pipelined", &pipelined_checked),
-    ] {
+    let (baseline, baseline_metrics) = run_bursty(1, 1);
+    let (pipelined, pipelined_metrics) = run_bursty(PipelineConfig::default().solver_threads, 64);
+    for (label, rep) in [("baseline", &baseline), ("pipelined", &pipelined)] {
         assert_eq!(rep.sent, 600, "{label}");
         assert_eq!(rep.errors, 0, "{label} run produced errors");
         assert_eq!(rep.busy, 0, "{label} run hit admission control");
     }
     assert_eq!(
-        serial_checked.payloads, pipelined_checked.payloads,
-        "modes must return identical response payloads modulo ordering"
+        baseline.payloads, pipelined.payloads,
+        "both arms must return identical response payloads modulo ordering"
     );
     assert!(
-        pipelined_metrics.fresh_solves <= serial_metrics.fresh_solves,
+        pipelined_metrics.fresh_solves <= baseline_metrics.fresh_solves,
         "coalescing must not increase fresh solves ({} vs {})",
         pipelined_metrics.fresh_solves,
-        serial_metrics.fresh_solves
+        baseline_metrics.fresh_solves
     );
-
-    // Timed pass: payload collection off (the loadgen fast-scans response
-    // envelopes, as both modes' numbers should measure the service, not the
-    // client's JSON parser). Best of three attempts — a single-core host
-    // schedules ~10 threads here and the occasional unlucky slice would
-    // otherwise fail a real >= 2x improvement.
-    let mut serial = None;
-    let mut pipelined = None;
-    let mut speedup = 0.0;
-    for _ in 0..3 {
-        let (s, _) = run_bursty(ExecutionMode::Serial, 1, false);
-        let (p, _) = run_bursty(
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-            64,
-            false,
-        );
-        for (label, rep) in [("serial", &s), ("pipelined", &p)] {
-            assert_eq!(rep.errors, 0, "{label} timed run produced errors");
-            assert_eq!(rep.busy, 0, "{label} timed run hit admission control");
-        }
-        let ratio = p.achieved_rps / s.achieved_rps;
-        if ratio > speedup {
-            speedup = ratio;
-            serial = Some(s);
-            pipelined = Some(p);
-        }
-        if speedup >= 2.2 {
-            break;
-        }
-    }
-    let serial = serial.expect("at least one timed attempt ran");
-    let pipelined = pipelined.expect("at least one timed attempt ran");
-    assert!(
-        speedup >= 2.0,
-        "pipelined mode must be >= 2x the serial baseline, got {speedup:.2}x \
-         ({:.1} vs {:.1} req/s)",
-        pipelined.achieved_rps,
-        serial.achieved_rps
-    );
-
-    // Record the comparison where the perf trajectory is tracked, in the
-    // same BenchRecord schema suu-bench's `exp_service_throughput` writes
-    // (the two writers share the file, so they must share the shape; the
-    // local structs mirror suu_bench::report::{BenchRecord, Table}, which
-    // this crate cannot depend on without a cycle).
-    #[derive(serde::Serialize)]
-    struct TableRec {
-        title: String,
-        headers: Vec<String>,
-        rows: Vec<Vec<String>>,
-        notes: Vec<String>,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchRec {
-        experiment: String,
-        wall_clock_secs: f64,
-        tables: Vec<TableRec>,
-    }
-    let mode_row = |label: &str,
-                    rep: &suu_service::LoadReport,
-                    snap: &suu_service::MetricsSnapshot,
-                    speedup_cell: String| {
-        vec![
-            label.to_string(),
-            rep.sent.to_string(),
-            format!("{:.2}", rep.achieved_rps),
-            format!("{:.2}", rep.p50_micros),
-            format!("{:.2}", rep.p99_micros),
-            snap.fresh_solves.to_string(),
-            snap.coalesced.to_string(),
-            speedup_cell,
-        ]
-    };
-    let record = BenchRec {
-        experiment: "service_throughput".to_string(),
-        wall_clock_secs: report.wall_secs + serial.wall_secs + pipelined.wall_secs,
-        tables: vec![
-            TableRec {
-                title: "S1: service throughput (integration test, 4 connections)".to_string(),
-                headers: [
-                    "scenario",
-                    "requests",
-                    "cache_hits",
-                    "req/s",
-                    "p50 us",
-                    "p99 us",
-                ]
-                .map(String::from)
-                .to_vec(),
-                rows: vec![vec![
-                    report.scenario.clone(),
-                    report.sent.to_string(),
-                    report.cache_hits.to_string(),
-                    format!("{:.2}", report.achieved_rps),
-                    format!("{:.2}", report.p50_micros),
-                    format!("{:.2}", report.p99_micros),
-                ]],
-                notes: vec!["acceptance floor: >= 100 req/s on mixed small instances".to_string()],
-            },
-            TableRec {
-                title: "S1b: pipelined vs serial execution (bursty multi-tenant, 4 connections)"
-                    .to_string(),
-                headers: [
-                    "mode",
-                    "requests",
-                    "req/s",
-                    "p50 us",
-                    "p99 us",
-                    "fresh_solves",
-                    "coalesced",
-                    "speedup",
-                ]
-                .map(String::from)
-                .to_vec(),
-                rows: vec![
-                    mode_row(
-                        "serial (baseline)",
-                        &serial,
-                        &serial_metrics,
-                        "1.00".to_string(),
-                    ),
-                    mode_row(
-                        "pipelined",
-                        &pipelined,
-                        &pipelined_metrics,
-                        format!("{speedup:.2}"),
-                    ),
-                ],
-                notes: vec![
-                    format!(
-                        "pipelined speedup over the serial per-connection baseline: \
-                         {speedup:.2}x (target >= 2x)"
-                    ),
-                    "payloads verified identical modulo ordering".to_string(),
-                ],
-            },
-        ],
-    };
-    let out_dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
-    std::fs::create_dir_all(&out_dir).unwrap();
-    std::fs::write(
-        out_dir.join("BENCH_service_throughput.json"),
-        serde_json::to_string_pretty(&record).unwrap(),
-    )
-    .unwrap();
 }

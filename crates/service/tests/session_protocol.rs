@@ -1,6 +1,6 @@
 //! Integration gate for the adaptive-session subsystem: the `open_session` /
-//! `session_event` / `close_session` verbs over both execution modes and
-//! both transports (stdin × serial/pipelined, TCP × serial/pipelined).
+//! `session_event` / `close_session` verbs over both transports (stdin and
+//! TCP).
 //!
 //! The contract under test:
 //!
@@ -16,9 +16,10 @@
 //!   events, realized steps, completed/unfinished split) and frees the id;
 //! * two sessions on distinct connections make progress concurrently
 //!   (pipelined fan-out) while each session's own revisions stay ordered;
-//! * lifecycle hygiene: dropping a TCP connection evicts its sessions, an
-//!   expired idle TTL evicts on the next session verb, and a full table
-//!   answers `busy` instead of evicting someone else;
+//! * lifecycle hygiene: ending a connection (stdin EOF or a dropped TCP
+//!   connection) evicts its sessions, an expired idle TTL evicts on the next
+//!   session verb, and a full table answers `busy` instead of evicting
+//!   someone else;
 //! * the `stats` verb reports the session counters and revision-latency
 //!   histogram the loadgen and CI grep for.
 
@@ -29,13 +30,13 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use suu_service::{
-    drive_session, open_session_line, spawn_tcp, DriveConfig, ExecutionMode, PipelineConfig,
-    SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
+    drive_session, open_session_line, spawn_tcp, DriveConfig, PipelineConfig, SchedulerService,
+    ServiceConfig, SolverPool, TcpServerConfig,
 };
 use suu_workloads::machine_failure_scenario;
 
-/// A `Write` into a shared buffer (the pipelined transport takes ownership
-/// of its writer).
+/// A `Write` into a shared buffer (the transport takes ownership of its
+/// writer).
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
 
@@ -188,66 +189,55 @@ fn check_lifecycle(responses: &[Value], transport: &str) {
     assert_unknown_session(by_id[&8], &format!("{transport}: event after close"));
 }
 
-fn run_stdin(mode: &ExecutionMode) -> Vec<Value> {
-    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
-    let input = lifecycle_corpus().join("\n") + "\n";
+/// Serves `lines` over the stdin transport and returns the parsed replies.
+/// One solver thread keeps the response order deterministic; the session
+/// gate is still exercised (every line of a session carries its token).
+fn serve_stdin(service: &Arc<SchedulerService>, lines: &[String]) -> Vec<Value> {
+    let input = lines.join("\n") + "\n";
     let output = SharedBuf::default();
-    match mode {
-        ExecutionMode::Serial => {
-            service
-                .serve_lines(input.as_bytes(), output.clone())
-                .unwrap();
-        }
-        ExecutionMode::Pipelined(config) => {
-            let pool = SolverPool::spawn(Arc::clone(&service), config);
-            service
-                .serve_lines_pipelined(input.as_bytes(), output.clone(), &pool.handle())
-                .unwrap();
-            pool.shutdown();
-        }
-    }
+    let pool = SolverPool::spawn(
+        Arc::clone(service),
+        &PipelineConfig {
+            solver_threads: 1,
+            queue_capacity: 1024,
+        },
+    );
+    service
+        .serve_lines(input.as_bytes(), output.clone(), &pool.handle())
+        .unwrap();
+    pool.shutdown();
     let bytes = output.0.lock().unwrap().clone();
     parse_lines(&String::from_utf8(bytes).unwrap())
 }
 
 #[test]
-fn lifecycle_over_serial_stdin() {
-    let responses = run_stdin(&ExecutionMode::Serial);
-    check_lifecycle(&responses, "stdin/serial");
-}
-
-#[test]
 fn lifecycle_over_pipelined_stdin() {
-    // One solver thread keeps the response order deterministic; the session
-    // gate is still exercised (every line of session 1 carries the token).
-    let responses = run_stdin(&ExecutionMode::Pipelined(PipelineConfig {
-        solver_threads: 1,
-        queue_capacity: 1024,
-    }));
-    check_lifecycle(&responses, "stdin/pipelined");
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    check_lifecycle(&serve_stdin(&service, &lifecycle_corpus()), "stdin");
 }
 
-fn spawn(mode: ExecutionMode) -> suu_service::ServiceHandle {
+fn spawn() -> suu_service::ServiceHandle {
     spawn_tcp(
         Arc::new(SchedulerService::new(ServiceConfig::default())),
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            mode,
+            pipeline: PipelineConfig::default(),
         },
     )
     .unwrap()
 }
 
-fn run_tcp_lifecycle(mode: ExecutionMode, transport: &str) {
-    let handle = spawn(mode);
+#[test]
+fn lifecycle_over_tcp_pipelined() {
+    let handle = spawn();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
     let lines = lifecycle_corpus();
     let mut responses = Vec::new();
     // Lock-step request/response: revisions must arrive in submission order
-    // within the session no matter the execution mode.
+    // within the session.
     for line in &lines {
         writeln!(writer, "{line}").unwrap();
         writer.flush().unwrap();
@@ -257,21 +247,8 @@ fn run_tcp_lifecycle(mode: ExecutionMode, transport: &str) {
     }
     drop(writer);
     drop(reader);
-    check_lifecycle(&responses, transport);
+    check_lifecycle(&responses, "tcp");
     handle.shutdown();
-}
-
-#[test]
-fn lifecycle_over_tcp_serial() {
-    run_tcp_lifecycle(ExecutionMode::Serial, "tcp/serial");
-}
-
-#[test]
-fn lifecycle_over_tcp_pipelined() {
-    run_tcp_lifecycle(
-        ExecutionMode::Pipelined(PipelineConfig::default()),
-        "tcp/pipelined",
-    );
 }
 
 /// Two sessions on distinct TCP connections drive full adaptive executions
@@ -279,7 +256,7 @@ fn lifecycle_over_tcp_pipelined() {
 /// the server ends with zero open sessions (both closed cleanly).
 #[test]
 fn concurrent_sessions_fan_out_over_tcp() {
-    let handle = spawn(ExecutionMode::Pipelined(PipelineConfig::default()));
+    let handle = spawn();
     let addr = handle.addr();
     let workers: Vec<_> = (0..2u64)
         .map(|k| {
@@ -324,43 +301,45 @@ fn concurrent_sessions_fan_out_over_tcp() {
     handle.shutdown();
 }
 
-/// Dropping the TCP connection without `close_session` evicts the
-/// connection's sessions (both execution modes own an eviction path).
+/// Ending a connection without `close_session` evicts its sessions, on both
+/// transports: stdin EOF and a dropped TCP connection.
 #[test]
 fn disconnect_evicts_sessions_on_both_modes() {
-    for (mode, name) in [
-        (ExecutionMode::Serial, "serial"),
-        (
-            ExecutionMode::Pipelined(PipelineConfig::default()),
-            "pipelined",
-        ),
-    ] {
-        let handle = spawn(mode);
-        let scenario = machine_failure_scenario(3);
-        {
-            let stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            writeln!(writer, "{}", open_session_line(1, &scenario.instance)).unwrap();
-            writer.flush().unwrap();
-            let mut reply = String::new();
-            assert!(reader.read_line(&mut reply).unwrap() > 0);
-            let open = serde_json::parse(reply.trim_end()).unwrap();
-            assert_eq!(open.get("ok"), Some(&Value::Bool(true)), "{name}");
-            assert_eq!(handle.service().sessions().len(), 1, "{name}");
-        } // connection drops here, without close_session
+    let scenario = machine_failure_scenario(3);
+    let open_line = open_session_line(1, &scenario.instance);
 
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.service().metrics().snapshot().sessions_evicted == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{name}: disconnect never evicted the session"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.service().sessions().is_empty(), "{name}");
-        handle.shutdown();
+    // stdin: the input ends right after the open.
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    let replies = serve_stdin(&service, std::slice::from_ref(&open_line));
+    assert_eq!(replies[0].get("ok"), Some(&Value::Bool(true)), "stdin");
+    assert_eq!(service.metrics().snapshot().sessions_evicted, 1, "stdin");
+    assert!(service.sessions().is_empty(), "stdin");
+
+    // TCP: the client drops the connection after the open.
+    let handle = spawn();
+    {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        writeln!(writer, "{open_line}").unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).unwrap() > 0);
+        let open = serde_json::parse(reply.trim_end()).unwrap();
+        assert_eq!(open.get("ok"), Some(&Value::Bool(true)), "tcp");
+        assert_eq!(handle.service().sessions().len(), 1, "tcp");
+    } // connection drops here, without close_session
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.service().metrics().snapshot().sessions_evicted == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "tcp: disconnect never evicted the session"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert!(handle.service().sessions().is_empty(), "tcp");
+    handle.shutdown();
 }
 
 /// An expired idle TTL evicts on the next session verb: the follow-up event

@@ -1,19 +1,20 @@
 //! Integration gate for the observability surface: the `stats` verb and the
-//! opt-in per-response `trace` object, over all four transport × execution
-//! mode combos (stdin/TCP × serial/pipelined).
+//! opt-in per-response `trace` object, over both transports (stdin and TCP).
 //!
 //! The contract under test:
 //!
 //! * requests sent with `options: {trace: true}` echo a `trace` object with
-//!   the four stage latencies, a cache verdict and the LP pivot count;
-//!   untraced requests omit the key entirely (v1 byte-compat);
+//!   the queue/solve/render latencies, a cache verdict and the LP pivot
+//!   count; untraced requests omit the key entirely (v1 byte-compat);
 //! * a `{"id": N, "verb": "stats"}` line answers with the full metrics
 //!   snapshot on every transport, and neither it nor protocol noise counts
 //!   towards the `requests` counter;
-//! * the per-stage histogram counts are *consistent*: every handled request
+//! * the per-stage histogram counts are *exact*: every handled request
 //!   records the parse, solve and render stages exactly once, so their
 //!   counts equal `requests` (the acceptance invariant the loadgen's
-//!   `stats_consistency=` line greps for);
+//!   `stats_consistency=` line greps for), and the queue and flush stages
+//!   both count exactly the lines answered before the scrape — requests,
+//!   verbs and garbage alike;
 //! * unknown verbs get a structured `bad_request`, not a hung connection.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -22,18 +23,21 @@ use std::sync::Arc;
 
 use serde::Value;
 use suu_service::{
-    build_request_pool, spawn_tcp, ExecutionMode, PipelineConfig, SchedulerService, ServiceConfig,
-    SolveOptions, SolverPool, TcpServerConfig,
+    build_request_pool, spawn_tcp, PipelineConfig, SchedulerService, ServiceConfig, SolveOptions,
+    SolverPool, TcpServerConfig,
 };
 
 /// Scheduling requests per run; the first [`TRACED`] opt into tracing.
 const SOLVES: usize = 6;
 const TRACED: usize = 3;
 const STATS_ID: u64 = 99;
+/// Lines answered ahead of the `stats` line: the solves, an unknown verb
+/// and a garbage line.
+const BEFORE_STATS: usize = SOLVES + 2;
 
 /// The request corpus: `SOLVES` mixed-scenario solves (ids 1..=SOLVES, the
-/// first `TRACED` with `options.trace`), then a `stats` verb and an unknown
-/// verb.
+/// first `TRACED` with `options.trace`), an unknown verb, a garbage line,
+/// then the `stats` verb.
 fn corpus() -> Vec<String> {
     let mut pool = build_request_pool("mixed", SOLVES, 7).expect("scenario exists");
     for request in pool.iter_mut().take(TRACED) {
@@ -46,13 +50,14 @@ fn corpus() -> Vec<String> {
         .iter()
         .map(|r| serde_json::to_string(r).expect("requests serialise"))
         .collect();
-    lines.push(format!("{{\"id\":{STATS_ID},\"verb\":\"stats\"}}"));
     lines.push(format!("{{\"id\":{},\"verb\":\"flurb\"}}", STATS_ID + 1));
+    lines.push("not json at all".to_string());
+    lines.push(format!("{{\"id\":{STATS_ID},\"verb\":\"stats\"}}"));
     lines
 }
 
 /// A single solver thread drains the queue in FIFO order, so the `stats`
-/// line (submitted last) observes every solve's counters settled.
+/// line (submitted last) observes every earlier line's counters settled.
 fn deterministic_pipeline() -> PipelineConfig {
     PipelineConfig {
         solver_threads: 1,
@@ -60,8 +65,8 @@ fn deterministic_pipeline() -> PipelineConfig {
     }
 }
 
-/// A `Write` into a shared buffer (the pipelined transport takes ownership
-/// of its writer).
+/// A `Write` into a shared buffer (the transport takes ownership of its
+/// writer).
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
 
@@ -76,24 +81,15 @@ impl Write for SharedBuf {
     }
 }
 
-fn run_stdin(mode: &ExecutionMode) -> Vec<String> {
+fn run_stdin() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let input = corpus().join("\n") + "\n";
     let output = SharedBuf::default();
-    match mode {
-        ExecutionMode::Serial => {
-            service
-                .serve_lines(input.as_bytes(), output.clone())
-                .unwrap();
-        }
-        ExecutionMode::Pipelined(config) => {
-            let pool = SolverPool::spawn(Arc::clone(&service), config);
-            service
-                .serve_lines_pipelined(input.as_bytes(), output.clone(), &pool.handle())
-                .unwrap();
-            pool.shutdown();
-        }
-    }
+    let pool = SolverPool::spawn(Arc::clone(&service), &deterministic_pipeline());
+    service
+        .serve_lines(input.as_bytes(), output.clone(), &pool.handle())
+        .unwrap();
+    pool.shutdown();
     let bytes = output.0.lock().unwrap().clone();
     String::from_utf8(bytes)
         .unwrap()
@@ -102,14 +98,14 @@ fn run_stdin(mode: &ExecutionMode) -> Vec<String> {
         .collect()
 }
 
-fn run_tcp(mode: ExecutionMode) -> Vec<String> {
+fn run_tcp() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let handle = spawn_tcp(
         service,
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
-            mode,
+            pipeline: deterministic_pipeline(),
         },
     )
     .unwrap();
@@ -162,8 +158,8 @@ fn response_by_id(lines: &[String]) -> std::collections::HashMap<u64, Value> {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn check(lines: &[String], pipelined: bool, transport: &str) {
-    assert_eq!(lines.len(), SOLVES + 2, "{transport}: response count");
+fn check(lines: &[String], transport: &str) {
+    assert_eq!(lines.len(), BEFORE_STATS + 1, "{transport}: response count");
     let by_id = response_by_id(lines);
 
     // Traced requests echo the trace object; untraced requests omit the key.
@@ -178,9 +174,13 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
             let trace = resp
                 .get("trace")
                 .unwrap_or_else(|| panic!("{transport}: response {id} missing trace"));
-            for field in ["queue_us", "solve_us", "render_us", "flush_us", "lp_pivots"] {
+            for field in ["queue_us", "solve_us", "render_us", "lp_pivots"] {
                 number(trace, &[field]);
             }
+            assert!(
+                trace.get("flush_us").is_none(),
+                "{transport}: a trace is rendered before its own flush"
+            );
             match trace.get("cache") {
                 Some(Value::String(verdict)) => assert!(
                     ["hit", "miss", "coalesced"].contains(&verdict.as_str()),
@@ -196,16 +196,22 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
         }
     }
 
-    // Unknown verbs answer with a structured bad request.
+    // Unknown verbs answer with a structured bad request, and so does the
+    // garbage line (no scannable id: 0).
     let unknown = &by_id[&(STATS_ID + 1)];
     assert_eq!(unknown.get("ok"), Some(&Value::Bool(false)), "{transport}");
     match unknown.get("error") {
         Some(Value::String(msg)) => assert!(msg.contains("flurb"), "{transport}: {msg}"),
         other => panic!("{transport}: unknown-verb error not a string: {other:?}"),
     }
+    assert_eq!(
+        by_id[&0].get("ok"),
+        Some(&Value::Bool(false)),
+        "{transport}"
+    );
 
-    // The stats snapshot: counted requests exclude the verbs, and the
-    // per-stage counts agree with the request counter.
+    // The stats snapshot: counted requests exclude the verbs and the
+    // garbage, and the per-stage counts are exact.
     let stats_resp = &by_id[&STATS_ID];
     assert_eq!(
         stats_resp.get("ok"),
@@ -218,33 +224,35 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
     let requests = number(stats, &["requests"]) as u64;
     assert_eq!(
         requests, SOLVES as u64,
-        "{transport}: verbs must not count as requests"
+        "{transport}: verbs and garbage must not count as requests"
     );
     assert_eq!(number(stats, &["errors"]) as u64, 0, "{transport}");
+    assert_eq!(number(stats, &["solver_panics"]) as u64, 0, "{transport}");
     assert_eq!(
         number(stats, &["latency_us", "count"]) as u64,
-        SOLVES as u64,
+        requests,
         "{transport}"
     );
     for stage in ["parse", "solve", "render"] {
         assert_eq!(
             number(stats, &["stages", stage, "count"]) as u64,
-            SOLVES as u64,
+            requests,
             "{transport}: stage `{stage}` count must equal handled requests"
         );
     }
-    let queue_count = number(stats, &["stages", "queue", "count"]) as u64;
-    if pipelined {
-        // Every job (including the stats line itself, dequeued before it
-        // snapshots) records time in the queue.
-        assert!(queue_count >= SOLVES as u64, "{transport}: {queue_count}");
-        assert!(
-            number(stats, &["queue", "capacity"]) as u64 > 0,
-            "{transport}: pipelined mode advertises its queue capacity"
+    // Queue and flush are both recorded once a line's response is written:
+    // every line answered before the scrape, and not the scrape itself.
+    for stage in ["queue", "flush"] {
+        assert_eq!(
+            number(stats, &["stages", stage, "count"]) as u64,
+            BEFORE_STATS as u64,
+            "{transport}: stage `{stage}` must count the lines answered before the scrape"
         );
-    } else {
-        assert_eq!(queue_count, 0, "{transport}: serial path has no queue");
     }
+    assert!(
+        number(stats, &["queue", "capacity"]) as u64 > 0,
+        "{transport}: the transport advertises its queue capacity"
+    );
 
     // LP effort flowed through: mixed traffic always has LP-backed solves.
     assert!(number(stats, &["lp", "pivots"]) > 0.0, "{transport}");
@@ -284,29 +292,11 @@ fn check(lines: &[String], pipelined: bool, transport: &str) {
 }
 
 #[test]
-fn stats_and_trace_over_stdin_serial() {
-    check(&run_stdin(&ExecutionMode::Serial), false, "stdin/serial");
-}
-
-#[test]
 fn stats_and_trace_over_stdin_pipelined() {
-    check(
-        &run_stdin(&ExecutionMode::Pipelined(deterministic_pipeline())),
-        true,
-        "stdin/pipelined",
-    );
-}
-
-#[test]
-fn stats_and_trace_over_tcp_serial() {
-    check(&run_tcp(ExecutionMode::Serial), false, "tcp/serial");
+    check(&run_stdin(), "stdin");
 }
 
 #[test]
 fn stats_and_trace_over_tcp_pipelined() {
-    check(
-        &run_tcp(ExecutionMode::Pipelined(deterministic_pipeline())),
-        true,
-        "tcp/pipelined",
-    );
+    check(&run_tcp(), "tcp");
 }

@@ -3,18 +3,16 @@
 //!
 //! The corpus (`tests/golden/v1_requests.jsonl`) exercises every structural
 //! class, forced solvers, estimates, cache hits and every error path a v1
-//! client can trigger. Each line's response is pinned in a golden file per
-//! execution mode (`v1_responses_serial.jsonl`, `v1_responses_pipelined.jsonl`
-//! — the two modes legitimately render the same response with different field
-//! order), and the test replays the corpus through all four transport ×
-//! execution-mode combos, asserting the bytes match modulo the two wall-clock
-//! fields (`service_micros`, `lp_micros`), which are normalised on both
-//! sides before comparison.
+//! client can trigger. Each line's response is pinned in
+//! `v1_responses.jsonl`, and the test replays the corpus over both
+//! transports (stdin and TCP), asserting the bytes match modulo the two
+//! wall-clock fields (`service_micros`, `lp_micros`), which are normalised on
+//! both sides before comparison.
 //!
 //! Any change to the service that alters what a v1 client receives — a new
 //! always-emitted field, a reordered envelope, different error phrasing —
 //! fails this test. Run with `GOLDEN_UPDATE=1` to regenerate the golden
-//! files after an *intentional* protocol change.
+//! file after an *intentional* protocol change.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -22,8 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use suu_service::{
-    spawn_tcp, ExecutionMode, PipelineConfig, SchedulerService, ServiceConfig, SolverPool,
-    TcpServerConfig,
+    spawn_tcp, PipelineConfig, SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
 };
 
 fn golden_dir() -> PathBuf {
@@ -38,9 +35,9 @@ fn corpus() -> Vec<String> {
     raw.lines().map(str::to_string).collect()
 }
 
-/// Pipelined execution sized for determinism: a single solver thread drains
-/// the queue in FIFO order, so responses come back in submission order and
-/// cache/coalescing behaviour is identical to the serial loop.
+/// Sized for determinism: a single solver thread drains the queue in FIFO
+/// order, so responses come back in submission order and the cache hits
+/// land on the same lines every run.
 fn deterministic_pipeline() -> PipelineConfig {
     PipelineConfig {
         solver_threads: 1,
@@ -72,8 +69,8 @@ fn normalise(line: &str) -> String {
     mask_field(&line, "\"lp_micros\":")
 }
 
-/// A `Write` into a shared buffer (the pipelined transport takes ownership
-/// of its writer, so a plain `&mut Vec<u8>` cannot be used there).
+/// A `Write` into a shared buffer (the transport takes ownership of its
+/// writer, so a plain `&mut Vec<u8>` cannot be used).
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
 
@@ -89,24 +86,15 @@ impl Write for SharedBuf {
 }
 
 /// Serves the corpus over the in-process stdin transport.
-fn run_stdin(mode: &ExecutionMode) -> Vec<String> {
+fn run_stdin() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let input = corpus().join("\n") + "\n";
     let output = SharedBuf::default();
-    match mode {
-        ExecutionMode::Serial => {
-            service
-                .serve_lines(input.as_bytes(), output.clone())
-                .unwrap();
-        }
-        ExecutionMode::Pipelined(config) => {
-            let pool = SolverPool::spawn(Arc::clone(&service), config);
-            service
-                .serve_lines_pipelined(input.as_bytes(), output.clone(), &pool.handle())
-                .unwrap();
-            pool.shutdown();
-        }
-    }
+    let pool = SolverPool::spawn(Arc::clone(&service), &deterministic_pipeline());
+    service
+        .serve_lines(input.as_bytes(), output.clone(), &pool.handle())
+        .unwrap();
+    pool.shutdown();
     let bytes = output.0.lock().unwrap().clone();
     String::from_utf8(bytes)
         .unwrap()
@@ -116,14 +104,14 @@ fn run_stdin(mode: &ExecutionMode) -> Vec<String> {
 }
 
 /// Serves the corpus over a real TCP connection.
-fn run_tcp(mode: ExecutionMode) -> Vec<String> {
+fn run_tcp() -> Vec<String> {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let handle = spawn_tcp(
         service,
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
-            mode,
+            pipeline: deterministic_pipeline(),
         },
     )
     .unwrap();
@@ -151,15 +139,15 @@ fn run_tcp(mode: ExecutionMode) -> Vec<String> {
     responses
 }
 
-fn check_against_golden(golden_file: &str, got: &[String], transport: &str) {
-    let path = golden_dir().join(golden_file);
+fn check_against_golden(got: &[String], transport: &str) {
+    let path = golden_dir().join("v1_responses.jsonl");
     let normalised: Vec<String> = got.iter().map(|l| normalise(l)).collect();
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::write(&path, normalised.join("\n") + "\n").expect("golden file writable");
         return;
     }
     let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|_| panic!("golden file {golden_file} missing; run with GOLDEN_UPDATE=1"));
+        .unwrap_or_else(|_| panic!("golden file missing; run with GOLDEN_UPDATE=1"));
     let want: Vec<&str> = want.lines().collect();
     assert_eq!(
         want.len(),
@@ -177,39 +165,13 @@ fn check_against_golden(golden_file: &str, got: &[String], transport: &str) {
 }
 
 #[test]
-fn v1_corpus_is_byte_stable_over_stdin_serial() {
-    check_against_golden(
-        "v1_responses_serial.jsonl",
-        &run_stdin(&ExecutionMode::Serial),
-        "stdin/serial",
-    );
-}
-
-#[test]
 fn v1_corpus_is_byte_stable_over_stdin_pipelined() {
-    check_against_golden(
-        "v1_responses_pipelined.jsonl",
-        &run_stdin(&ExecutionMode::Pipelined(deterministic_pipeline())),
-        "stdin/pipelined",
-    );
-}
-
-#[test]
-fn v1_corpus_is_byte_stable_over_tcp_serial() {
-    check_against_golden(
-        "v1_responses_serial.jsonl",
-        &run_tcp(ExecutionMode::Serial),
-        "tcp/serial",
-    );
+    check_against_golden(&run_stdin(), "stdin");
 }
 
 #[test]
 fn v1_corpus_is_byte_stable_over_tcp_pipelined() {
-    check_against_golden(
-        "v1_responses_pipelined.jsonl",
-        &run_tcp(ExecutionMode::Pipelined(deterministic_pipeline())),
-        "tcp/pipelined",
-    );
+    check_against_golden(&run_tcp(), "tcp");
 }
 
 /// The corpus itself is pinned: every line is either intentionally malformed

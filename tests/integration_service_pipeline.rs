@@ -15,8 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use suu::core::{InstanceBuilder, JobId, SuuInstance};
 use suu::graph::Dag;
 use suu::service::{
-    spawn_tcp, ExecutionMode, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    TcpServerConfig,
+    spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig, TcpServerConfig,
 };
 use suu::workloads::uniform_matrix;
 
@@ -69,10 +68,10 @@ fn burst_of_32_is_answered_by_id_and_out_of_order() {
         &TcpServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            mode: ExecutionMode::Pipelined(PipelineConfig {
+            pipeline: PipelineConfig {
                 solver_threads: 2,
                 queue_capacity: 64,
-            }),
+            },
         },
     )
     .expect("ephemeral bind succeeds");
