@@ -1,15 +1,16 @@
 //! S2: adaptive sessions vs oblivious execution under disruptions.
 //!
-//! The paper's separation (§1, §3): against an adversary the best *oblivious*
-//! schedule for independent jobs is Θ(log² n / log log n)-competitive
-//! (Theorem 3.6's regimen analysis), while an *adaptive* policy that observes
-//! which jobs completed achieves O(log n) (Theorem 3.3's multi-round
-//! argument). This experiment measures that gap operationally: the same
+//! The experiment measures what feedback is worth operationally: the same
 //! instance, the same scripted disruptions (machine failure, staggered
 //! drains, probability drift), the same RNG seed per trial — executed once
 //! obliviously (the revision-0 schedule cycled blindly) and once through a
 //! `suu-service` adaptive session (per-step completions reported, the
-//! unfinished suffix re-solved and the revision installed).
+//! unfinished suffix re-solved with SUU-C, Theorem 4.4, and the revision
+//! installed). This is not the paper's adaptive-vs-oblivious separation for
+//! independent jobs (Theorem 3.3 vs Theorem 3.6): both arms schedule with
+//! the same algorithm, SUU-C, and the large gaps come from the scripted dead
+//! and drained machines, which the oblivious schedule keeps assigning work
+//! to.
 //!
 //! Both arms run through the same execution core
 //! ([`suu_service::execute_oblivious`] and the session driver share it), so
@@ -152,9 +153,11 @@ pub fn run(config: &RunConfig) -> Table {
         oblivious
     ));
     table.push_note(
-        "paper claim: adaptive O(log n) vs oblivious Θ(log² n / log log n) for independent \
-         jobs (Thm 3.3 vs Thm 3.6); both arms share the execution core and the per-trial seed, \
-         so the gap is the value of feedback alone",
+        "what the ratio measures: the adaptive arm re-solves SUU-C (Thm 4.4) on the unfinished \
+         suffix after every event, the oblivious arm cycles its revision-0 schedule; the gaps \
+         come from the scripted disruptions (a dead machine, drained machines) the oblivious \
+         schedule keeps assigning work to, not from the Thm 3.3 vs Thm 3.6 separation for \
+         independent jobs; both arms share the execution core and the per-trial seed",
     );
     table
 }

@@ -47,6 +47,12 @@ impl Assignment {
         self.targets.len()
     }
 
+    /// Every machine's target, indexed by machine.
+    #[must_use]
+    pub(crate) fn targets(&self) -> &[Option<JobId>] {
+        &self.targets
+    }
+
     /// The job machine `machine` works on, if any.
     #[must_use]
     pub fn target(&self, machine: MachineId) -> Option<JobId> {

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::assignment::{Assignment, MultiAssignment};
 use crate::ids::{JobId, MachineId};
+use crate::json;
 
 /// The set of unfinished jobs, tracked as a membership mask.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -301,6 +302,55 @@ impl ObliviousSchedule {
             .map(|i| self.load(MachineId(i)))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Appends this schedule's JSON to `out`: byte for byte what the serde
+    /// derive renders (`{"num_machines":m,"steps":[{"targets":[…]},…]}`),
+    /// written directly instead of through a `Value` tree.
+    /// [`json_len`](Self::json_len) gives its exact length.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"num_machines\":");
+        json::push_uint(out, self.num_machines as u64);
+        out.push_str(",\"steps\":[");
+        for (t, step) in self.steps.iter().enumerate() {
+            if t > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"targets\":[");
+            for (i, target) in step.targets().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match target {
+                    Some(job) => json::push_uint(out, job.0 as u64),
+                    None => out.push_str("null"),
+                }
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+
+    /// Bytes [`write_json`](Self::write_json) appends.
+    #[must_use]
+    pub fn json_len(&self) -> usize {
+        let steps: usize = self
+            .steps
+            .iter()
+            .map(|step| {
+                let targets: usize = step
+                    .targets()
+                    .iter()
+                    .map(|t| t.map_or(4, |job| json::uint_len(job.0 as u64)))
+                    .sum();
+                // `{"targets":[` … `]}` plus the separating commas.
+                "{\"targets\":[]}".len() + targets + step.num_machines().saturating_sub(1)
+            })
+            .sum();
+        "{\"num_machines\":,\"steps\":[]}".len()
+            + json::uint_len(self.num_machines as u64)
+            + steps
+            + self.steps.len().saturating_sub(1)
     }
 }
 
@@ -618,6 +668,24 @@ mod tests {
         assert_eq!(sched, back);
         assert_eq!(back.num_machines(), 2);
         assert_eq!(back.len(), 2);
+    }
+
+    #[test]
+    fn write_json_matches_the_serde_rendering() {
+        let mut a = Assignment::idle(3);
+        a.assign(MachineId(0), JobId(1_000_000));
+        a.assign(MachineId(2), JobId(7));
+        for sched in [
+            ObliviousSchedule::new(3),
+            ObliviousSchedule::from_steps(3, vec![Assignment::idle(3)]),
+            ObliviousSchedule::from_steps(3, vec![a, Assignment::idle(3)]),
+        ] {
+            let want = serde_json::to_string(&sched).unwrap();
+            let mut got = String::new();
+            sched.write_json(&mut got);
+            assert_eq!(got, want);
+            assert_eq!(sched.json_len(), want.len());
+        }
     }
 
     #[test]

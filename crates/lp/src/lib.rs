@@ -44,7 +44,7 @@ pub mod sparse;
 
 pub use dense::solve_dense;
 pub use engine::{solve, Engine, SimplexOptions};
-pub use lu::LuFactors;
+pub use lu::{LuFactors, LuWorkspace};
 pub use model::{ConstraintOp, LpProblem, Sense, VarId};
 pub use revised::{solve_revised, solve_revised_with_basis, solve_warm, WarmOutcome, WarmStart};
 pub use solution::{LpError, LpSolution, LpStatus};

@@ -52,7 +52,7 @@
 //! `alloc_discipline` integration test.
 
 use crate::engine::SimplexOptions;
-use crate::lu::LuFactors;
+use crate::lu::{LuFactors, LuWorkspace};
 use crate::model::{ConstraintOp, LpProblem, Sense};
 use crate::solution::{LpError, LpSolution, LpStatus};
 
@@ -187,7 +187,8 @@ pub struct WarmOutcome {
     /// solve did not end at an optimal artificial-free basis (non-optimal
     /// status, or the dense-oracle fallback ran).
     pub basis: Vec<usize>,
-    /// LU factors of that final basis, when available.
+    /// LU factors of that final basis, compacted
+    /// ([`LuFactors::compact`]), when available.
     pub factors: Option<LuFactors>,
     /// `true` when the supplied warm basis was actually used (the warm primal
     /// or dual path produced the solution); `false` on every cold path.
@@ -321,11 +322,13 @@ fn try_solve_capture(
     Ok(capture_outcome(solver, solution, false))
 }
 
-/// Packages a finished solve, snapshotting the basis (and moving the LU
-/// factors out of the solver) when — and only when — it ended at an optimal,
-/// artificial-free vertex. Any other terminal state has nothing worth
-/// inheriting.
-fn capture_outcome(mut solver: Revised, solution: LpSolution, warm: bool) -> WarmOutcome {
+/// Packages a finished solve, moving out the basis and the compacted LU
+/// factors when — and only when — it ended at an optimal, artificial-free
+/// vertex. Any other terminal state has nothing worth inheriting.
+/// Compaction drops the slack and dead space update-time row moves leave in
+/// the factor arenas, so a donor kept in a warm-start index holds only live
+/// entries and every later clone of it is a memcpy of those.
+fn capture_outcome(solver: Revised, solution: LpSolution, warm: bool) -> WarmOutcome {
     let reusable =
         solution.status == LpStatus::Optimal && solver.basis.iter().all(|&c| c < solver.num_real);
     if !reusable {
@@ -336,8 +339,9 @@ fn capture_outcome(mut solver: Revised, solution: LpSolution, warm: bool) -> War
             warm,
         };
     }
-    let basis = solver.basis.clone();
-    let factors = std::mem::replace(&mut solver.factors, LuFactors::new(0));
+    let mut factors = solver.factors;
+    factors.compact();
+    let basis = solver.basis;
     WarmOutcome {
         solution,
         basis,
@@ -555,6 +559,9 @@ struct Revised {
     cost: Vec<f64>,
     /// Sparse LU factors of the basis, maintained by Forrest–Tomlin updates.
     factors: LuFactors,
+    /// Scratch for every factor operation; the factors hold none, so a
+    /// captured donor is pure factor data.
+    lu_ws: LuWorkspace,
     /// Current basic solution `B⁻¹ b`, indexed by basis position.
     xb: Vec<f64>,
     /// Set once phase 2 starts: artificials are barred from entering and
@@ -742,6 +749,7 @@ impl Revised {
             in_basis,
             cost: vec![0.0; ncols],
             factors: LuFactors::new(m),
+            lu_ws: LuWorkspace::new(m),
             guard_artificials: false,
             iterations: 0,
             y: vec![0.0; m],
@@ -853,7 +861,7 @@ impl Revised {
             for (r, v) in self.cols.row(entering) {
                 self.d[r] = v;
             }
-            self.factors.ftran(&mut self.d);
+            self.factors.ftran(&mut self.d, &mut self.lu_ws);
             let Some(leaving) = self.choose_leaving(tol, use_bland) else {
                 return Ok(PhaseStatus::Unbounded);
             };
@@ -895,7 +903,7 @@ impl Revised {
             // books already hold the new basis, so a fresh factorisation is
             // always a valid continuation).
             let need = self.factors.needs_refactor(self.refactor_interval)
-                || self.factors.ft_update(leaving).is_err();
+                || self.factors.ft_update(leaving, &mut self.lu_ws).is_err();
             if need {
                 self.refactorize()?;
             }
@@ -917,7 +925,7 @@ impl Revised {
         for t in 0..self.nrows {
             self.y[t] = self.cost[self.basis[t]];
         }
-        self.factors.btran(&mut self.y);
+        self.factors.btran(&mut self.y, &mut self.lu_ws);
         for c in 0..self.ncols {
             if self.in_basis[c] {
                 self.rc[c] = 0.0;
@@ -1158,7 +1166,7 @@ impl Revised {
     fn devex_update(&mut self, entering: usize, leaving: usize, pivot_val: f64) {
         self.rho.iter_mut().for_each(|x| *x = 0.0);
         self.rho[leaving] = 1.0;
-        self.factors.btran(&mut self.rho);
+        self.factors.btran(&mut self.rho, &mut self.lu_ws);
         // Push `ρ` through the constraint rows to get the pivot row `α`.
         // When the support is wide (the common late-phase case) the touched
         // set approaches every column, so the scatter skips membership
@@ -1306,10 +1314,10 @@ impl Revised {
             self.in_basis[c] = true;
         }
         let mut seeded = false;
-        if let Some(mut factors) = warm.factors {
+        if let Some(factors) = warm.factors {
             if factors.dim() == self.nrows {
                 self.xb.copy_from_slice(&self.b);
-                factors.ftran(&mut self.xb);
+                factors.ftran(&mut self.xb, &mut self.lu_ws);
                 if self.residual_ok() {
                     self.factors = factors;
                     seeded = true;
@@ -1317,11 +1325,15 @@ impl Revised {
             }
         }
         if !seeded {
-            if self.factors.factorize(&self.cols, &self.basis).is_err() {
+            if self
+                .factors
+                .factorize(&self.cols, &self.basis, &mut self.lu_ws)
+                .is_err()
+            {
                 return false;
             }
             self.xb.copy_from_slice(&self.b);
-            self.factors.ftran(&mut self.xb);
+            self.factors.ftran(&mut self.xb, &mut self.lu_ws);
         }
         true
     }
@@ -1404,7 +1416,7 @@ impl Revised {
             // the row-access form with support tracking.
             self.rho.iter_mut().for_each(|x| *x = 0.0);
             self.rho[t] = 1.0;
-            self.factors.btran(&mut self.rho);
+            self.factors.btran(&mut self.rho, &mut self.lu_ws);
             for &c in &self.alpha_touched {
                 self.alpha[c] = 0.0;
             }
@@ -1496,7 +1508,7 @@ impl Revised {
             for (r, v) in self.cols.row(q) {
                 self.d[r] = v;
             }
-            self.factors.ftran(&mut self.d);
+            self.factors.ftran(&mut self.d, &mut self.lu_ws);
             let pivot_val = self.d[t];
             if pivot_val.abs() < 1e-12 || !pivot_val.is_finite() {
                 return Err(Trouble::Numerical {
@@ -1520,7 +1532,7 @@ impl Revised {
             self.iterations += 1;
 
             let need = self.factors.needs_refactor(self.refactor_interval)
-                || self.factors.ft_update(t).is_err();
+                || self.factors.ft_update(t, &mut self.lu_ws).is_err();
             if need {
                 self.refactorize()?;
             }
@@ -1528,13 +1540,17 @@ impl Revised {
     }
 
     fn refactorize(&mut self) -> Result<(), Trouble> {
-        if self.factors.factorize(&self.cols, &self.basis).is_err() {
+        if self
+            .factors
+            .factorize(&self.cols, &self.basis, &mut self.lu_ws)
+            .is_err()
+        {
             return Err(Trouble::Numerical {
                 spent: self.iterations,
             });
         }
         self.xb.copy_from_slice(&self.b);
-        self.factors.ftran(&mut self.xb);
+        self.factors.ftran(&mut self.xb, &mut self.lu_ws);
         if self.costs_installed {
             self.recompute_reduced_costs();
         }

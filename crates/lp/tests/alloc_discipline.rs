@@ -5,8 +5,9 @@
 //! The claim under test is about *scaling*, not absolutes: building the
 //! solver and the first factorisation may allocate freely (CSR assembly, LU
 //! workspaces, pricing buffers), and the long-lived factor workspaces grow
-//! amortised toward their fill high-water marks (Forrest–Tomlin spikes and
-//! refactorisation fill push into per-row `Vec`s whose capacity persists).
+//! amortised toward their fill high-water marks (Forrest–Tomlin spikes grow
+//! the flat factor arenas, and refactorisation fill the workspace's working
+//! columns, whose capacity persists).
 //! What must NOT happen is a per-pivot temporary — any `Vec::new`, `clone`
 //! or `collect` on the pivot path would cost ≥ 1 allocation per pivot
 //! forever. We measure it directly: solve the same LP under increasing
@@ -14,14 +15,25 @@
 //! pivot windows. The steady-state window must stay well under one
 //! allocation per pivot, and the whole profile must be bit-deterministic.
 //!
-//! Everything lives in a single `#[test]` because the counter is a process
-//! global: the default test harness runs `#[test]`s concurrently, and a
-//! sibling test's allocations would show up in our windows.
+//! A second claim is about warm-start donors: the LU factors a solve
+//! captures are a handful of flat arrays, so cloning them (which the
+//! service's warm-basis index does on every lookup) costs a fixed number of
+//! allocations, not one per row or column of the basis.
+//!
+//! The counter is a process global and the default test harness runs
+//! `#[test]`s concurrently, so every test holds `SERIAL` while it counts:
+//! a sibling test's allocations would otherwise show up in its windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use suu_lp::{solve_revised, ConstraintOp, LpError, LpProblem, Sense, SimplexOptions};
+use suu_lp::{
+    solve_revised, solve_revised_with_basis, ConstraintOp, LpError, LpProblem, Sense,
+    SimplexOptions, VarId,
+};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -110,6 +122,9 @@ fn allocs_for_capped_solve(lp: &LpProblem, cap: usize) -> u64 {
 
 #[test]
 fn pivot_loop_performs_no_per_pivot_allocation() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let lp = long_running_lp();
 
     // Ladder of caps, each 60 pivots apart. The prefix of the pivot
@@ -157,4 +172,87 @@ fn pivot_loop_performs_no_per_pivot_allocation() {
     // not pathological cycling).
     let full = solve_revised(&lp, &SimplexOptions::default()).expect("uncapped solve");
     assert_eq!(full.status, suu_lp::LpStatus::Optimal);
+}
+
+/// The paper's (LP1) for `n` jobs on `m` machines in chains of `chain_len`
+/// consecutive jobs, built row for row like `suu_algorithms`'
+/// `build_relaxation`: mass rows `Σ_i p_ij x_ij ≥ 1/2`, machine loads
+/// `Σ_j x_ij ≤ t`, chain lengths `Σ_{j∈C} d_j ≤ t`, `x_ij ≤ d_j` and
+/// `d_j ≥ 1`, minimising `t`.
+fn chains_lp1(n: usize, m: usize, chain_len: usize) -> LpProblem {
+    let mut state = 0x1_9E37_79B9u64;
+    let mut next_p = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        0.05 + 0.9 * (state % 1000) as f64 / 1000.0
+    };
+    let mut lp = LpProblem::new(Sense::Minimize);
+    let mut x: Vec<Vec<VarId>> = Vec::with_capacity(m);
+    let mut mass: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); n];
+    for _ in 0..m {
+        let row: Vec<VarId> = (0..n).map(|_| lp.add_variable("")).collect();
+        for (j, &v) in row.iter().enumerate() {
+            mass[j].push((v, next_p()));
+        }
+        x.push(row);
+    }
+    let d: Vec<VarId> = (0..n).map(|_| lp.add_variable("")).collect();
+    let t = lp.add_variable("t");
+    lp.set_objective_coefficient(t, 1.0);
+    for terms in mass {
+        lp.add_constraint(terms, ConstraintOp::Ge, 0.5, "");
+    }
+    for row in &x {
+        let mut terms: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
+        terms.push((t, -1.0));
+        lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+    }
+    for chain in d.chunks(chain_len) {
+        let mut terms: Vec<(VarId, f64)> = chain.iter().map(|&v| (v, 1.0)).collect();
+        terms.push((t, -1.0));
+        lp.add_constraint(terms, ConstraintOp::Le, 0.0, "");
+    }
+    for row in &x {
+        for (j, &v) in row.iter().enumerate() {
+            lp.add_constraint(vec![(v, 1.0), (d[j], -1.0)], ConstraintOp::Le, 0.0, "");
+        }
+    }
+    for &v in &d {
+        lp.add_constraint(vec![(v, 1.0)], ConstraintOp::Ge, 1.0, "");
+    }
+    lp
+}
+
+/// Allocations made by cloning the LU factors a solve of `lp` captures,
+/// with the basis dimension they factor.
+fn donor_clone_allocs(lp: &LpProblem) -> (u64, usize) {
+    let start = solve_revised_with_basis(lp, &SimplexOptions::default())
+        .expect("(LP1) solves")
+        .into_warm_start()
+        .expect("an optimal solve captures a warm start");
+    let factors = start.factors.expect("the capture keeps its LU factors");
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let copy = factors.clone();
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(copy.dim(), factors.dim());
+    (after - before, factors.dim())
+}
+
+#[test]
+fn cloning_a_captured_donor_costs_a_fixed_number_of_allocations() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Per-row storage would cost one allocation per non-empty U row, U
+    // column and L column: thousands at 96×12. Flat arrays cost the same
+    // handful at every size.
+    for (n, m) in [(24, 4), (96, 12)] {
+        let (allocs, dim) = donor_clone_allocs(&chains_lp1(n, m, 8));
+        assert!(dim > n * m, "{n}x{m}: (LP1) has {dim} rows");
+        assert!(
+            allocs <= 48,
+            "{n}x{m}: cloning a donor of dimension {dim} made {allocs} allocations"
+        );
+    }
 }

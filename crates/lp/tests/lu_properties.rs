@@ -16,7 +16,7 @@
 //! actually react to — varies freely.
 
 use proptest::prelude::*;
-use suu_lp::{CsrMatrix, LuFactors};
+use suu_lp::{CsrMatrix, LuFactors, LuWorkspace};
 
 /// Deterministic value in `±[0.5, 2.0]` for off-deterministic generation.
 fn mix(seed: u64, a: usize, b: usize) -> u64 {
@@ -126,7 +126,7 @@ fn factors_for(cols: &[Vec<(usize, f64)>]) -> LuFactors {
     let csc = CsrMatrix::from_rows(m, cols);
     let basis: Vec<usize> = (0..m).collect();
     let mut f = LuFactors::new(m);
-    f.factorize(&csc, &basis)
+    f.factorize(&csc, &basis, &mut LuWorkspace::new(m))
         .expect("matrix is invertible by construction");
     f
 }
@@ -154,6 +154,7 @@ fn assert_close(a: &[f64], b: &[f64], what: &str) {
 fn a_benign_ft_update_is_accepted_and_correct() {
     let mut cols = random_invertible(8, 3, 0x0FF1CE);
     let mut factors = factors_for(&cols);
+    let mut ws = LuWorkspace::new(8);
     let pos = 3;
     let pivot_row = cols[pos]
         .iter()
@@ -165,17 +166,17 @@ fn a_benign_ft_update_is_accepted_and_correct() {
     for &(r, v) in &newcol {
         dirn[r] = v;
     }
-    factors.ftran(&mut dirn);
+    factors.ftran(&mut dirn, &mut ws);
     cols[pos] = newcol;
     factors
-        .ft_update(pos)
+        .ft_update(pos, &mut ws)
         .expect("a strong-pivot replacement column must be accepted");
     assert_eq!(factors.updates_since_refactor(), 1);
     let v = rhs(8, 0xFEED);
     let mut via_update = v.clone();
-    factors.ftran(&mut via_update);
+    factors.ftran(&mut via_update, &mut ws);
     let mut via_fresh = v.clone();
-    factors_for(&cols).ftran(&mut via_fresh);
+    factors_for(&cols).ftran(&mut via_fresh, &mut ws);
     assert_close(
         &via_update,
         &via_fresh,
@@ -193,10 +194,11 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let cols = random_invertible(m, extra, seed);
-        let mut factors = factors_for(&cols);
+        let factors = factors_for(&cols);
+        let mut ws = LuWorkspace::new(m);
         let v = rhs(m, seed ^ 0x5EED);
         let mut x = v.clone();
-        factors.ftran(&mut x);
+        factors.ftran(&mut x, &mut ws);
         assert_close(&apply(&cols, &x), &v, "B·ftran(v) must reproduce v");
         assert_close(&x, &dense_solve(&cols, &v), "ftran vs dense oracle");
     }
@@ -208,10 +210,11 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let cols = random_invertible(m, extra, seed);
-        let mut factors = factors_for(&cols);
+        let factors = factors_for(&cols);
+        let mut ws = LuWorkspace::new(m);
         let v = rhs(m, seed ^ 0xB7);
         let mut y = v.clone();
-        factors.btran(&mut y);
+        factors.btran(&mut y, &mut ws);
         assert_close(&apply_t(&cols, &y), &v, "Bᵀ·btran(v) must reproduce v");
     }
 
@@ -225,12 +228,13 @@ proptest! {
         // Bᵀ, both walk L and U once in each direction — together they
         // exercise every stored non-zero of the factors in both orders.
         let cols = random_invertible(m, extra, seed);
-        let mut factors = factors_for(&cols);
+        let factors = factors_for(&cols);
+        let mut ws = LuWorkspace::new(m);
         let v = rhs(m, seed ^ 0x70);
         let mut x = v.clone();
-        factors.ftran(&mut x);
+        factors.ftran(&mut x, &mut ws);
         let mut y = apply(&cols, &x);
-        factors.btran(&mut y);
+        factors.btran(&mut y, &mut ws);
         // y = B⁻ᵀ B x̂ where x̂ solves B x̂ = v: multiplying back must again
         // close the loop.
         assert_close(&apply_t(&cols, &y), &apply(&cols, &x), "round trip");
@@ -245,6 +249,7 @@ proptest! {
     ) {
         let mut cols = random_invertible(m, extra, seed);
         let mut factors = factors_for(&cols);
+        let mut ws = LuWorkspace::new(m);
         for step in 0..updates {
             // Replace one basis column with a fresh strong-pivot column (on
             // the leaving column's own pivot row, so the updated matrix
@@ -266,9 +271,9 @@ proptest! {
             for &(r, v) in &newcol {
                 dirn[r] = v;
             }
-            factors.ftran(&mut dirn);
+            factors.ftran(&mut dirn, &mut ws);
             cols[pos] = newcol;
-            if factors.ft_update(pos).is_err() {
+            if factors.ft_update(pos, &mut ws).is_err() {
                 // A rejected update is a legal outcome (the caller
                 // refactorises); it must not be silently wrong, so stop
                 // comparing this chain here.
@@ -278,16 +283,76 @@ proptest! {
             // factorisation of the updated matrix on a random system.
             let v = rhs(m, seed ^ (step as u64) << 8);
             let mut via_update = v.clone();
-            factors.ftran(&mut via_update);
-            let mut fresh = factors_for(&cols);
+            factors.ftran(&mut via_update, &mut ws);
+            let fresh = factors_for(&cols);
             let mut via_fresh = v.clone();
-            fresh.ftran(&mut via_fresh);
+            fresh.ftran(&mut via_fresh, &mut ws);
             assert_close(&via_update, &via_fresh, "FT update vs refactorisation (ftran)");
             let mut bt_update = v.clone();
-            factors.btran(&mut bt_update);
+            factors.btran(&mut bt_update, &mut ws);
             let mut bt_fresh = v.clone();
-            fresh.btran(&mut bt_fresh);
+            fresh.btran(&mut bt_fresh, &mut ws);
             assert_close(&bt_update, &bt_fresh, "FT update vs refactorisation (btran)");
+        }
+    }
+
+    #[test]
+    fn compact_factors_solve_and_update_bit_identically(
+        m in 3usize..12,
+        extra in 0usize..4,
+        seed in 0u64..1_000_000,
+        updates in 1usize..5,
+    ) {
+        // `compact` repacks the factor arenas; every later FTRAN, BTRAN
+        // and update must sum in the same order, so results match bit for
+        // bit, not just within a tolerance.
+        let mut cols = random_invertible(m, extra, seed);
+        let mut factors = factors_for(&cols);
+        let mut packed = factors.clone();
+        packed.compact();
+        let mut ws = LuWorkspace::new(m);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for step in 0..updates {
+            let pos = (mix(seed, step, 0xD0) as usize) % m;
+            let pivot_row = cols[pos]
+                .iter()
+                .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
+                .unwrap()
+                .0;
+            let mut newcol = vec![(pivot_row, 1.0 + unit(seed, step, 0xD1))];
+            for e in 0..extra {
+                let r = (mix(seed, step, 0x200 + e) as usize) % m;
+                if newcol.iter().all(|&(rr, _)| rr != r) {
+                    newcol.push((r, (unit(seed, step, 0x300 + e) - 0.5) * 0.4));
+                }
+            }
+            let mut dirn = vec![0.0; m];
+            for &(r, v) in &newcol {
+                dirn[r] = v;
+            }
+            let mut dirn_packed = dirn.clone();
+            factors.ftran(&mut dirn, &mut ws);
+            let updated = factors.ft_update(pos, &mut ws);
+            packed.ftran(&mut dirn_packed, &mut ws);
+            let updated_packed = packed.ft_update(pos, &mut ws);
+            prop_assert_eq!(bits(&dirn), bits(&dirn_packed));
+            prop_assert_eq!(updated.is_ok(), updated_packed.is_ok());
+            if updated.is_err() {
+                return Ok(());
+            }
+            cols[pos] = newcol;
+            let v = rhs(m, seed ^ (step as u64) << 12);
+            let (mut x, mut x_packed) = (v.clone(), v.clone());
+            factors.ftran(&mut x, &mut ws);
+            packed.ftran(&mut x_packed, &mut ws);
+            prop_assert_eq!(bits(&x), bits(&x_packed));
+            let (mut y, mut y_packed) = (v.clone(), v);
+            factors.btran(&mut y, &mut ws);
+            packed.btran(&mut y_packed, &mut ws);
+            prop_assert_eq!(bits(&y), bits(&y_packed));
+            // Repack mid-chain too: a donor is compacted after any number
+            // of updates.
+            packed.compact();
         }
     }
 
@@ -325,6 +390,9 @@ proptest! {
         let csc = CsrMatrix::from_rows(m, &cols);
         let basis: Vec<usize> = (0..m).collect();
         let mut f = LuFactors::new(m);
-        prop_assert!(f.factorize(&csc, &basis).is_err(), "singular basis must be rejected");
+        prop_assert!(
+            f.factorize(&csc, &basis, &mut LuWorkspace::new(m)).is_err(),
+            "singular basis must be rejected"
+        );
     }
 }

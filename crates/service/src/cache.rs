@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::Serialize;
-use suu_core::{ObliviousSchedule, SuuInstance};
+use suu_core::{json, ObliviousSchedule, SuuInstance};
 use suu_lp::{LuFactors, WarmStart};
 
 /// Cache sizing.
@@ -94,36 +93,74 @@ impl CachedSolve {
         }
     }
 
-    /// Renders the solve-dependent response fragment with `schedule` forced
-    /// to the given value; shared by both rendered-body projections.
-    fn render_fields(&self, schedule: serde::Value) -> String {
-        let fields = serde::Value::Object(vec![
-            (String::from("solver"), self.solver.to_value()),
-            (String::from("schedule"), schedule),
-            (String::from("schedule_len"), self.schedule.len().to_value()),
-            (String::from("lp_value"), self.lp_value.to_value()),
-            (String::from("lp_pivots"), self.lp_pivots.to_value()),
-            (String::from("lp_micros"), self.lp_micros.to_value()),
-        ]);
-        let rendered = fields.render();
-        // Strip the outer braces: the caller owns the envelope.
-        rendered[1..rendered.len() - 1].to_string()
+    /// Writes the solve-dependent response fragment, with the schedule or
+    /// with `"schedule":null`, straight into a `String` of exactly its
+    /// length (see [`rendered_body`](Self::rendered_body)).
+    fn render_fields(&self, with_schedule: bool) -> String {
+        fn opt_uint_len(v: Option<u64>) -> usize {
+            v.map_or(4, json::uint_len)
+        }
+        fn push_opt_uint(out: &mut String, v: Option<u64>) {
+            match v {
+                Some(n) => json::push_uint(out, n),
+                None => out.push_str("null"),
+            }
+        }
+        let schedule_len = self.schedule.len() as u64;
+        let lp_pivots = self.lp_pivots.map(|p| p as u64);
+        let len = BODY_KEYS_LEN
+            + json::str_len(&self.solver)
+            + if with_schedule {
+                self.schedule.json_len()
+            } else {
+                4
+            }
+            + json::uint_len(schedule_len)
+            + self.lp_value.map_or(4, json::f64_len)
+            + opt_uint_len(lp_pivots)
+            + opt_uint_len(self.lp_micros);
+        let mut out = String::with_capacity(len);
+        out.push_str("\"solver\":");
+        json::push_str(&mut out, &self.solver);
+        out.push_str(",\"schedule\":");
+        if with_schedule {
+            self.schedule.write_json(&mut out);
+        } else {
+            out.push_str("null");
+        }
+        out.push_str(",\"schedule_len\":");
+        json::push_uint(&mut out, schedule_len);
+        out.push_str(",\"lp_value\":");
+        match self.lp_value {
+            Some(v) => json::push_f64(&mut out, v),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"lp_pivots\":");
+        push_opt_uint(&mut out, lp_pivots);
+        out.push_str(",\"lp_micros\":");
+        push_opt_uint(&mut out, self.lp_micros);
+        debug_assert_eq!(out.len(), len, "body length must be exact");
+        out
     }
 
     /// The solve-dependent fragment of a success response, rendered once and
     /// shared by every response serving this solve:
     /// `"solver":…,"schedule":…,"schedule_len":…,"lp_value":…,"lp_pivots":…,"lp_micros":…`
     /// (no surrounding braces). Serialising the schedule dominates the cost
-    /// of answering a cache hit — a multi-kilobyte JSON tree per response —
-    /// so the pipelined executor splices this fragment into the response
-    /// envelope instead of re-rendering it for every request.
+    /// of answering a cache hit — a multi-kilobyte JSON fragment per
+    /// response — so the pipelined executor splices this fragment into the
+    /// response envelope instead of re-rendering it for every request.
     ///
-    /// Rendered through the same serde path as the struct serialiser, so a
-    /// spliced response parses identically to a fully serialised one.
+    /// The fragment is written directly — the schedule by
+    /// [`ObliviousSchedule::write_json`], the scalars by [`suu_core::json`]
+    /// — into a `String` sized to its exact length up front, with no
+    /// intermediate `serde::Value` tree. The bytes are exactly what the
+    /// serde rendering of the same fields produces (pinned by the
+    /// `render_parity` battery), so a spliced response parses identically
+    /// to a fully serialised one.
     #[must_use]
     pub fn rendered_body(&self) -> &str {
-        self.rendered
-            .get_or_init(|| self.render_fields(self.schedule.to_value()))
+        self.rendered.get_or_init(|| self.render_fields(true))
     }
 
     /// The `detail: no_schedule` projection of
@@ -133,9 +170,14 @@ impl CachedSolve {
     #[must_use]
     pub fn rendered_body_no_schedule(&self) -> &str {
         self.rendered_no_schedule
-            .get_or_init(|| self.render_fields(serde::Value::Null))
+            .get_or_init(|| self.render_fields(false))
     }
 }
+
+/// Bytes of the fixed keys and punctuation of a rendered body: everything
+/// but the six values.
+const BODY_KEYS_LEN: usize =
+    "\"solver\":,\"schedule\":,\"schedule_len\":,\"lp_value\":,\"lp_pivots\":,\"lp_micros\":".len();
 
 struct Entry {
     instance: SuuInstance,
@@ -179,8 +221,8 @@ pub struct ShardStats {
 /// One shard of the warm-basis index: `(structural digest, solver name)` →
 /// the final simplex basis (and its LU factors) of the most recent solve in
 /// that structural class, with tick-based LRU recency. The factors live in
-/// an `Arc`: lookups hand out a shared reference and the solver deep-copies
-/// only when it actually adopts them.
+/// an `Arc`, so the shard lock covers only a reference-count bump; the copy
+/// a lookup hands out is made after the lock is released.
 #[derive(Default)]
 struct BasisShard {
     entries: HashMap<(u64, String), (BasisDonor, u64)>,
@@ -286,8 +328,12 @@ impl ScheduleCache {
 
     /// Looks up a donor for the given structural class, refreshing its
     /// recency on a hit. Returns a ready-to-install [`WarmStart`]; the LU
-    /// factors are deep-copied out of the shared entry (a memcpy of the
-    /// factor arrays — far cheaper than the refactorisation they replace).
+    /// factors are deep-copied out of the shared entry. A solve stores them
+    /// [compacted](LuFactors::compact) into a handful of flat arrays, so
+    /// the copy is about twenty allocations and a memcpy of the live factor
+    /// bytes whatever the basis dimension — a few microseconds against the
+    /// hundreds a refactorisation of the donor basis costs — and dropping
+    /// the entry a store overwrites frees the same handful of blocks.
     #[must_use]
     pub fn lookup_basis(&self, structural_digest: u64, solver: &str) -> Option<WarmStart> {
         let donor = {

@@ -469,7 +469,9 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
             // A panicking solve must not kill its solver thread (silently
             // shrinking the pool), leave its client without a response, or
             // gate its session forever. Coalesced waiters are released by
-            // the flight guard's drop; a mutex held across the panic stays
+            // the flight guard's drop. A session whose state lock the panic
+            // poisoned is evicted by its next event, which is answered
+            // `unknown_session`; any other mutex held across the panic stays
             // poisoned, so later requests needing it fail the same way
             // instead of hanging.
             catch_unwind(AssertUnwindSafe(|| service.handle(&job.line, &ctx))).unwrap_or_else(

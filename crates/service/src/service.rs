@@ -944,6 +944,17 @@ impl SchedulerService {
         self.metrics.record_sessions_evicted(evicted);
     }
 
+    /// Answers an event or close for a session whose state lock a panic
+    /// poisoned mid-revision, after the caller removed it from the table:
+    /// the half-updated state is unusable, so the session counts as evicted
+    /// and is reported unknown, like one that idled out. Every later verb
+    /// on it gets the same answer from the table lookup.
+    fn poisoned_session_failure(&self, id: u64, session: u64) -> String {
+        self.metrics.record_sessions_evicted(1);
+        self.metrics.record_unknown_session();
+        render_response(&unknown_session_failure(id, session))
+    }
+
     /// Evicts every session owned by connection token `conn` — called by the
     /// transport when a connection ends (EOF or error), so sessions die with
     /// their client instead of leaking until the idle TTL.
@@ -1090,7 +1101,10 @@ impl SchedulerService {
         // Events within a session serialise on the state lock; the pipelined
         // executor additionally keeps a session's events in submission order
         // (see `pipeline.rs`), so revisions are strictly ordered.
-        let mut state = entry.lock();
+        let Some(mut state) = entry.lock() else {
+            let _ = self.sessions.close(event.session);
+            return self.poisoned_session_failure(id, event.session);
+        };
         state.events += 1;
         if let Some(step) = event.step {
             state.realized_steps = state.realized_steps.max(step);
@@ -1210,8 +1224,10 @@ impl SchedulerService {
             self.metrics.record_unknown_session();
             return render_response(&unknown_session_failure(id, session));
         };
+        let Some(state) = entry.lock() else {
+            return self.poisoned_session_failure(id, session);
+        };
         self.metrics.record_session_closed();
-        let state = entry.lock();
         Value::Object(vec![
             ("id".to_string(), Value::Number(id as f64)),
             ("ok".to_string(), Value::Bool(true)),

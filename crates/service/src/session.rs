@@ -116,9 +116,11 @@ pub struct SessionEntry {
 
 impl SessionEntry {
     /// Locks the session state (events within a session are serialised on
-    /// this lock — revisions are strictly ordered).
-    pub fn lock(&self) -> MutexGuard<'_, SessionState> {
-        self.state.lock().expect("session state poisoned")
+    /// this lock — revisions are strictly ordered). `None` when a panic
+    /// while the lock was held poisoned it: the state may be half-updated,
+    /// so the session is dead and the caller evicts it.
+    pub fn lock(&self) -> Option<MutexGuard<'_, SessionState>> {
+        self.state.lock().ok()
     }
 }
 

@@ -4,15 +4,18 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use serde::Value;
+
 use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_service::{
-    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    SolveOutput, Solver, SolverRegistry, TcpServerConfig,
+    error_kind, open_session_line, spawn_tcp, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, SolveOutput, Solver, SolverRegistry, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -186,6 +189,113 @@ fn panicking_solver_is_answered_and_the_thread_survives() {
     assert_eq!(second.id, 2);
     assert!(second.ok, "error: {:?}", second.error);
     assert_eq!(service.metrics().solver_panics(), 1);
+    drop(writer);
+    server.shutdown();
+}
+
+/// The session solver whose first solve (a session's revision 0) succeeds
+/// and whose every later solve panics.
+struct PanicsAfterFirstSolve {
+    paper: SolverRegistry,
+    solves: AtomicUsize,
+}
+
+impl Solver for PanicsAfterFirstSolve {
+    fn name(&self) -> &'static str {
+        "suu-c"
+    }
+
+    fn supports(&self, instance: &SuuInstance) -> bool {
+        self.paper.by_name("suu-c").unwrap().supports(instance)
+    }
+
+    fn solve(
+        &self,
+        instance: &SuuInstance,
+        limits: &LpBudget,
+    ) -> Result<SolveOutput, AlgorithmError> {
+        if self.solves.fetch_add(1, Ordering::SeqCst) > 0 {
+            panic!("deliberate panic in a session revision");
+        }
+        self.paper.by_name("suu-c").unwrap().solve(instance, limits)
+    }
+}
+
+/// A panic in a session revision poisons that session's state lock. The
+/// panicking event is answered `solver_error`; the session is then dead, so
+/// its next event evicts it and is answered `unknown_session` — not a
+/// second panic per event until the idle TTL.
+#[test]
+fn a_session_poisoned_by_a_panic_is_evicted() {
+    let mut registry = SolverRegistry::new();
+    registry.register(Box::new(PanicsAfterFirstSolve {
+        paper: SolverRegistry::with_paper_algorithms(),
+        solves: AtomicUsize::new(0),
+    }));
+    let service = Arc::new(SchedulerService::with_registry(
+        ServiceConfig::default(),
+        registry,
+    ));
+    let server = spawn_tcp(
+        Arc::clone(&service),
+        &TcpServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            pipeline: PipelineConfig {
+                solver_threads: 1,
+                queue_capacity: 8,
+            },
+        },
+    )
+    .unwrap();
+
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    writeln!(writer, "{}", open_session_line(1, &chain_instance(0x5E55))).unwrap();
+    writeln!(
+        writer,
+        r#"{{"id":2,"verb":"session_event","session":1,"step":1,"completed":[0]}}"#
+    )
+    .unwrap();
+    writeln!(
+        writer,
+        r#"{{"id":3,"verb":"session_event","session":1,"step":2,"completed":[1]}}"#
+    )
+    .unwrap();
+    writer.flush().unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..3 {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            let _ = tx.send(serde_json::parse(&line).unwrap());
+        }
+    });
+    let next = || {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("every session verb gets an answer")
+    };
+    let kind = |reply: &Value| {
+        reply
+            .get("error_kind")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
+    let opened = next();
+    assert_eq!(opened.get("ok"), Some(&Value::Bool(true)), "{opened:?}");
+    let panicked = next();
+    assert_eq!(kind(&panicked).as_deref(), Some(error_kind::SOLVER_ERROR));
+    let after = next();
+    assert_eq!(kind(&after).as_deref(), Some(error_kind::UNKNOWN_SESSION));
+    assert_eq!(service.metrics().solver_panics(), 1);
+    assert!(
+        service.sessions().is_empty(),
+        "the poisoned session is evicted"
+    );
     drop(writer);
     server.shutdown();
 }
