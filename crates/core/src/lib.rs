@@ -28,15 +28,12 @@
 //!   (Definition 4.1) and the [`schedule::SchedulingPolicy`] trait that
 //!   adaptive algorithms and regimens implement (Definition 2.2).
 //! * [`mass`] — the mass of a job under a schedule (Definition 2.4).
-//! * [`json`] — direct JSON writers that match the serde rendering byte for
-//!   byte (the service writes response bodies with them).
 
 pub mod assignment;
 pub mod delta;
 pub mod error;
 pub mod ids;
 pub mod instance;
-pub mod json;
 pub mod mass;
 pub mod prob;
 pub mod schedule;

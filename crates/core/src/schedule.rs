@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::assignment::{Assignment, MultiAssignment};
 use crate::ids::{JobId, MachineId};
-use crate::json;
 
 /// The set of unfinished jobs, tracked as a membership mask.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -306,11 +305,11 @@ impl ObliviousSchedule {
 
     /// Appends this schedule's JSON to `out`: byte for byte what the serde
     /// derive renders (`{"num_machines":m,"steps":[{"targets":[…]},…]}`),
-    /// written directly instead of through a `Value` tree.
-    /// [`json_len`](Self::json_len) gives its exact length.
+    /// written directly instead of through a `Value` tree, with the numbers
+    /// going through the same [`serde::write_number`].
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"num_machines\":");
-        json::push_uint(out, self.num_machines as u64);
+        serde::write_number(out, self.num_machines as f64);
         out.push_str(",\"steps\":[");
         for (t, step) in self.steps.iter().enumerate() {
             if t > 0 {
@@ -322,35 +321,13 @@ impl ObliviousSchedule {
                     out.push(',');
                 }
                 match target {
-                    Some(job) => json::push_uint(out, job.0 as u64),
+                    Some(job) => serde::write_number(out, job.0 as f64),
                     None => out.push_str("null"),
                 }
             }
             out.push_str("]}");
         }
         out.push_str("]}");
-    }
-
-    /// Bytes [`write_json`](Self::write_json) appends.
-    #[must_use]
-    pub fn json_len(&self) -> usize {
-        let steps: usize = self
-            .steps
-            .iter()
-            .map(|step| {
-                let targets: usize = step
-                    .targets()
-                    .iter()
-                    .map(|t| t.map_or(4, |job| json::uint_len(job.0 as u64)))
-                    .sum();
-                // `{"targets":[` … `]}` plus the separating commas.
-                "{\"targets\":[]}".len() + targets + step.num_machines().saturating_sub(1)
-            })
-            .sum();
-        "{\"num_machines\":,\"steps\":[]}".len()
-            + json::uint_len(self.num_machines as u64)
-            + steps
-            + self.steps.len().saturating_sub(1)
     }
 }
 
@@ -684,7 +661,6 @@ mod tests {
             let mut got = String::new();
             sched.write_json(&mut got);
             assert_eq!(got, want);
-            assert_eq!(sched.json_len(), want.len());
         }
     }
 

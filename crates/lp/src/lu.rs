@@ -332,12 +332,6 @@ impl LuWorkspace {
         }
     }
 
-    /// Basis dimension this workspace serves.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Markowitz-style pivot selection over the active submatrix: the
     /// `MARKOWITZ_CANDIDATES` sparsest active columns are scored with the
     /// merit `(col_nnz − 1) · (row_nnz − 1)` over their threshold-acceptable

@@ -20,28 +20,41 @@
 //! service's warm-basis index does on every lookup) costs a fixed number of
 //! allocations, not one per row or column of the basis.
 //!
-//! The counter is a process global and the default test harness runs
-//! `#[test]`s concurrently, so every test holds `SERIAL` while it counts:
-//! a sibling test's allocations would otherwise show up in its windows.
+//! The counter is per thread. The default test harness runs `#[test]`s
+//! concurrently and allocates on its own threads as results come in, so a
+//! process-wide count would pick up a sibling test's (or the harness's)
+//! allocations; the solver itself is single-threaded, so each test counts
+//! exactly what its own thread allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use suu_lp::{
     solve_revised, solve_revised_with_basis, ConstraintOp, LpError, LpProblem, Sense,
     SimplexOptions, VarId,
 };
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by the current thread. `const`-initialised and
+    /// without a destructor, so counting never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // `try_with` cannot panic inside the allocator, even at thread exit.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocator calls the current thread has made so far.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -50,12 +63,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -110,9 +123,9 @@ fn allocs_for_capped_solve(lp: &LpProblem, cap: usize) -> u64 {
         max_iterations: Some(cap),
         ..SimplexOptions::default()
     };
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     let outcome = solve_revised(lp, &options);
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
     match outcome {
         Err(LpError::IterationLimit { limit }) => assert_eq!(limit, cap),
         other => panic!("expected the {cap}-pivot cap to trip, got {other:?}"),
@@ -122,9 +135,6 @@ fn allocs_for_capped_solve(lp: &LpProblem, cap: usize) -> u64 {
 
 #[test]
 fn pivot_loop_performs_no_per_pivot_allocation() {
-    let _serial = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let lp = long_running_lp();
 
     // Ladder of caps, each 60 pivots apart. The prefix of the pivot
@@ -232,18 +242,15 @@ fn donor_clone_allocs(lp: &LpProblem) -> (u64, usize) {
         .into_warm_start()
         .expect("an optimal solve captures a warm start");
     let factors = start.factors.expect("the capture keeps its LU factors");
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     let copy = factors.clone();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
     assert_eq!(copy.dim(), factors.dim());
     (after - before, factors.dim())
 }
 
 #[test]
 fn cloning_a_captured_donor_costs_a_fixed_number_of_allocations() {
-    let _serial = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Per-row storage would cost one allocation per non-empty U row, U
     // column and L column: thousands at 96×12. Flat arrays cost the same
     // handful at every size.

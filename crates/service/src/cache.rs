@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use suu_core::{json, ObliviousSchedule, SuuInstance};
+use suu_core::{ObliviousSchedule, SuuInstance};
 use suu_lp::{LuFactors, WarmStart};
 
 /// Cache sizing.
@@ -94,34 +94,24 @@ impl CachedSolve {
     }
 
     /// Writes the solve-dependent response fragment, with the schedule or
-    /// with `"schedule":null`, straight into a `String` of exactly its
-    /// length (see [`rendered_body`](Self::rendered_body)).
+    /// with `"schedule":null` (see [`rendered_body`](Self::rendered_body)).
     fn render_fields(&self, with_schedule: bool) -> String {
-        fn opt_uint_len(v: Option<u64>) -> usize {
-            v.map_or(4, json::uint_len)
-        }
-        fn push_opt_uint(out: &mut String, v: Option<u64>) {
-            match v {
-                Some(n) => json::push_uint(out, n),
+        fn write_opt(out: &mut String, n: Option<f64>) {
+            match n {
+                Some(n) => serde::write_number(out, n),
                 None => out.push_str("null"),
             }
         }
-        let schedule_len = self.schedule.len() as u64;
-        let lp_pivots = self.lp_pivots.map(|p| p as u64);
-        let len = BODY_KEYS_LEN
-            + json::str_len(&self.solver)
-            + if with_schedule {
-                self.schedule.json_len()
-            } else {
-                4
-            }
-            + json::uint_len(schedule_len)
-            + self.lp_value.map_or(4, json::f64_len)
-            + opt_uint_len(lp_pivots)
-            + opt_uint_len(self.lp_micros);
-        let mut out = String::with_capacity(len);
+        // Room for job ids below 10⁴: at most five bytes a target (`null,`)
+        // plus a step's `{"targets":[]},`. Larger ids just grow the string.
+        let schedule_room = if with_schedule {
+            self.schedule.len() * (15 + 5 * self.schedule.num_machines())
+        } else {
+            0
+        };
+        let mut out = String::with_capacity(160 + self.solver.len() + schedule_room);
         out.push_str("\"solver\":");
-        json::push_str(&mut out, &self.solver);
+        serde::write_escaped(&mut out, &self.solver);
         out.push_str(",\"schedule\":");
         if with_schedule {
             self.schedule.write_json(&mut out);
@@ -129,17 +119,15 @@ impl CachedSolve {
             out.push_str("null");
         }
         out.push_str(",\"schedule_len\":");
-        json::push_uint(&mut out, schedule_len);
+        serde::write_number(&mut out, self.schedule.len() as f64);
         out.push_str(",\"lp_value\":");
-        match self.lp_value {
-            Some(v) => json::push_f64(&mut out, v),
-            None => out.push_str("null"),
-        }
+        write_opt(&mut out, self.lp_value);
         out.push_str(",\"lp_pivots\":");
-        push_opt_uint(&mut out, lp_pivots);
+        write_opt(&mut out, self.lp_pivots.map(|p| p as f64));
         out.push_str(",\"lp_micros\":");
-        push_opt_uint(&mut out, self.lp_micros);
-        debug_assert_eq!(out.len(), len, "body length must be exact");
+        write_opt(&mut out, self.lp_micros.map(|us| us as f64));
+        // The cache keeps the body as long as the entry: hand back the slack.
+        out.shrink_to_fit();
         out
     }
 
@@ -151,13 +139,15 @@ impl CachedSolve {
     /// response — so the pipelined executor splices this fragment into the
     /// response envelope instead of re-rendering it for every request.
     ///
-    /// The fragment is written directly — the schedule by
-    /// [`ObliviousSchedule::write_json`], the scalars by [`suu_core::json`]
-    /// — into a `String` sized to its exact length up front, with no
-    /// intermediate `serde::Value` tree. The bytes are exactly what the
+    /// The fragment is written directly, with no intermediate
+    /// `serde::Value` tree: the schedule by
+    /// [`ObliviousSchedule::write_json`], the scalars by
+    /// [`serde::write_number`] and [`serde::write_escaped`] — the writers
+    /// the `Value` rendering itself uses, so the bytes are exactly what the
     /// serde rendering of the same fields produces (pinned by the
-    /// `render_parity` battery), so a spliced response parses identically
-    /// to a fully serialised one.
+    /// `render_parity` battery) and a spliced response parses identically
+    /// to a fully serialised one. The `String` starts from an estimate of
+    /// the body's size and is shrunk to its exact length once written.
     #[must_use]
     pub fn rendered_body(&self) -> &str {
         self.rendered.get_or_init(|| self.render_fields(true))
@@ -173,11 +163,6 @@ impl CachedSolve {
             .get_or_init(|| self.render_fields(false))
     }
 }
-
-/// Bytes of the fixed keys and punctuation of a rendered body: everything
-/// but the six values.
-const BODY_KEYS_LEN: usize =
-    "\"solver\":,\"schedule\":,\"schedule_len\":,\"lp_value\":,\"lp_pivots\":,\"lp_micros\":".len();
 
 struct Entry {
     instance: SuuInstance,
