@@ -25,8 +25,7 @@ use std::time::Instant;
 use suu_core::{JobId, MachineId, SuuInstance};
 use suu_graph::ChainSet;
 use suu_lp::{
-    solve, solve_revised_with_basis, solve_warm, ConstraintOp, Engine, LpProblem, LpStatus, Sense,
-    SimplexOptions, VarId,
+    solve, solve_warm, ConstraintOp, Engine, LpProblem, LpStatus, Sense, SimplexOptions, VarId,
 };
 pub use suu_lp::{LuFactors, WarmStart};
 
@@ -35,14 +34,17 @@ use crate::error::AlgorithmError;
 /// Target mass per job in the relaxation (the paper uses 1/2).
 pub const LP_MASS_TARGET: f64 = 0.5;
 
-/// Caller-supplied resource bounds on the LP stage of a pipeline: which
-/// simplex engine to run, how many pivots it may spend, and an absolute
-/// wall-clock deadline. The default (`Auto`, unbounded, no deadline) is
-/// exactly the historical behaviour; a budget that is not exhausted never
-/// changes the result (the pivot sequence is deterministic).
+/// Caller-supplied resource bounds on the LP stage of a pipeline: how many
+/// pivots it may spend and an absolute wall-clock deadline, plus an engine
+/// override for tests. The default (revised simplex, unbounded, no
+/// deadline) is the production configuration; a budget that is not
+/// exhausted never changes the result (the pivot sequence is deterministic).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LpBudget {
-    /// Simplex engine override (`Auto` picks by problem size).
+    /// Simplex engine of the basis-free solves ([`solve_lp1_with`],
+    /// [`solve_lp2_with`]): `Auto` and `Revised` run the revised simplex,
+    /// `Dense` forces the dense tableau. [`solve_lp1_warm`] always runs the
+    /// revised simplex, the engine that captures and consumes bases.
     pub engine: Engine,
     /// Pivot budget across both simplex phases; exhausting it aborts the
     /// pipeline with [`AlgorithmError::BudgetExhausted`].
@@ -162,8 +164,9 @@ pub struct LpWarmInfo {
     /// (the warm primal or dual-simplex path produced the solution).
     pub warm: bool,
     /// Final-basis snapshot for warm-starting a structurally similar solve.
-    /// Empty when the solve ran on the dense engine or did not end at a
-    /// reusable (optimal, artificial-free) basis.
+    /// Empty when the solve did not end at a reusable (optimal,
+    /// artificial-free) basis, which includes a numerical breakdown handed
+    /// to the dense fallback.
     pub basis: Vec<usize>,
     /// LU factors of that final basis. A follow-up solve whose edit leaves
     /// the basis matrix untouched (the edited column is nonbasic) adopts
@@ -176,10 +179,9 @@ pub struct LpWarmInfo {
 /// parent solve (or `None` to solve cold) and get the final basis + factors
 /// back for the next request in the tenant's drift chain.
 ///
-/// Basis capture and reuse only engage on the revised engine — exactly the
-/// solves [`Engine::Auto`] already routes there. Solves small enough for the
-/// dense tableau keep their historical pivot-for-pivot behaviour and report
-/// no basis, so existing response bytes are untouched.
+/// Always runs the revised simplex ([`solve_warm`]), whatever
+/// [`LpBudget::engine`] says. A cold call captures a basis at every problem
+/// size and pivots exactly as the default basis-free solve does.
 ///
 /// # Errors
 ///
@@ -299,17 +301,6 @@ fn build_and_solve(
     build_and_solve_tracked(instance, chains, budget, None, false).map(|(frac, _)| frac)
 }
 
-/// Whether [`solve`] would dispatch this problem to the revised engine —
-/// the routing decision mirrored here so warm-basis capture engages on
-/// exactly the solves that already run revised.
-fn routes_to_revised(lp: &LpProblem, options: &SimplexOptions) -> bool {
-    match options.engine {
-        Engine::Revised => true,
-        Engine::Dense => false,
-        Engine::Auto => suu_lp::engine::tableau_cells(lp) > suu_lp::engine::DENSE_CELL_THRESHOLD,
-    }
-}
-
 fn build_and_solve_tracked(
     instance: &SuuInstance,
     chains: Option<&ChainSet>,
@@ -323,11 +314,8 @@ fn build_and_solve_tracked(
     let (lp, x_var, d_var, t_var) = build_relaxation(instance, chains);
 
     let options = budget.simplex_options();
-    let (sol, info) = if capture && routes_to_revised(&lp, &options) {
-        let outcome = match warm {
-            Some(donor) if !donor.basis.is_empty() => solve_warm(&lp, donor, &options)?,
-            _ => solve_revised_with_basis(&lp, &options)?,
-        };
+    let (sol, info) = if capture {
+        let outcome = solve_warm(&lp, warm.unwrap_or_default(), &options)?;
         (
             outcome.solution,
             LpWarmInfo {

@@ -1,27 +1,19 @@
 //! L1: scaling of the LP engines — dense tableau vs revised simplex.
 //!
-//! Two sweeps over (LP2) relaxations, both solving the *identical* problem
-//! with both engines and recording wall-clock (min-of-N), pivot counts and
-//! the objective gap:
-//!
-//! * **Scaling sweep** — instance size × matrix density. The sparse points
-//!   use density ≈ log₂ m / m — the per-job machine-eligibility regime of
-//!   realistic multi-tenant instances — which is exactly where the revised
-//!   engine's O(nnz)-per-pivot cost beats the dense tableau's
-//!   O(rows × cols). Full sweeps assert the acceptance bar: revised ≥ 1.0×
-//!   dense at *every* point and ≥ 10× at the sparsest (largest, baseline
-//!   density) point, with objectives within 1e-6 everywhere.
-//! * **Crossover probe** — tiny instances bracketing the dense/revised
-//!   break-even size. The probe fits the tableau-cell count where the
-//!   revised engine starts winning and reports it next to
-//!   [`suu_lp::engine::DENSE_CELL_THRESHOLD`], so the `Engine::Auto`
-//!   routing constant is re-derived from recorded data rather than guessed.
+//! A sweep over (LP2) relaxations, solving the *identical* problem with both
+//! engines and recording wall-clock (min-of-N), pivot counts and the
+//! objective gap, over instance size × matrix density. The sparse points use
+//! density ≈ log₂ m / m — the per-job machine-eligibility regime of realistic
+//! multi-tenant instances — which is exactly where the revised engine's
+//! O(nnz)-per-pivot cost beats the dense tableau's O(rows × cols). Full
+//! sweeps assert the acceptance bar: revised ≥ 1.0× dense at *every* point
+//! and ≥ 10× at the sparsest (largest, baseline density) point, with
+//! objectives within 1e-6 everywhere.
 
 use std::time::Instant;
 
 use suu_algorithms::lp_relaxation::build_relaxation;
 use suu_core::InstanceBuilder;
-use suu_lp::engine::{tableau_cells, DENSE_CELL_THRESHOLD};
 use suu_lp::{solve, Engine, LpProblem, LpSolution, LpStatus, SimplexOptions};
 use suu_workloads::sparse_uniform_matrix;
 
@@ -187,88 +179,6 @@ pub fn run(config: &RunConfig) -> Table {
     table
 }
 
-/// Runs the dense/revised crossover probe and fits the `Engine::Auto`
-/// routing threshold.
-///
-/// Tiny (LP2) relaxations at baseline density bracket the break-even size;
-/// for each, both engines are timed (min-of-N) and classified by winner.
-/// The fitted threshold is the geometric midpoint between the largest
-/// tableau-cell count where dense won and the smallest where revised won —
-/// the same cell units [`Engine::Auto`] compares against
-/// [`DENSE_CELL_THRESHOLD`].
-///
-/// # Panics
-///
-/// Panics if an engine fails to solve a probe instance.
-#[must_use]
-pub fn run_crossover(config: &RunConfig) -> Table {
-    let mut table = Table::new(
-        "L1b: Engine::Auto crossover probe (dense vs revised at break-even sizes)",
-        &["n", "m", "cells", "dense us", "revised us", "winner"],
-    );
-    let probe_sizes: &[(usize, usize)] = &[
-        (6, 4),
-        (12, 8),
-        (18, 12),
-        (24, 16),
-        (36, 24),
-        (48, 32),
-        (54, 36),
-        (60, 40),
-        (72, 48),
-    ];
-    let reps = if config.quick { 15 } else { 50 };
-
-    let mut dense_max_cells = 0usize;
-    let mut revised_min_cells = usize::MAX;
-    for &(n, m) in probe_sizes {
-        let (lp, _) = sweep_problem(n, m, 1.0, config.seed);
-        let cells = tableau_cells(&lp);
-        let ((dense_sol, dense_ms), (revised_sol, revised_ms)) = timed_pair(&lp, reps);
-        assert_eq!(dense_sol.status, LpStatus::Optimal);
-        assert_eq!(revised_sol.status, LpStatus::Optimal);
-        let dense_wins = dense_ms <= revised_ms;
-        if dense_wins {
-            dense_max_cells = dense_max_cells.max(cells);
-        } else {
-            revised_min_cells = revised_min_cells.min(cells);
-        }
-        table.push_row(vec![
-            n.to_string(),
-            m.to_string(),
-            cells.to_string(),
-            f2(dense_ms * 1e3),
-            f2(revised_ms * 1e3),
-            if dense_wins { "dense" } else { "revised" }.to_string(),
-        ]);
-    }
-
-    let fitted = match (dense_max_cells, revised_min_cells) {
-        // Dense never won: route everything at or above the smallest probe
-        // to revised.
-        (0, lo) if lo < usize::MAX => lo.saturating_sub(1),
-        // Revised never won: the probe did not reach the crossover; keep the
-        // largest dense-winning size as a lower bound on the threshold.
-        (hi, usize::MAX) => hi,
-        // The generic case: geometric midpoint of the bracketing points.
-        (hi, lo) => ((hi as f64) * (lo as f64)).sqrt().round() as usize,
-    };
-    table.push_note(format!(
-        "fitted crossover: {fitted} tableau cells \
-         (largest dense win {dense_max_cells}, smallest revised win {})",
-        if revised_min_cells == usize::MAX {
-            "none".to_string()
-        } else {
-            revised_min_cells.to_string()
-        }
-    ));
-    table.push_note(format!(
-        "DENSE_CELL_THRESHOLD = {DENSE_CELL_THRESHOLD} (engine.rs); re-derive \
-         from this table after engine changes"
-    ));
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,21 +196,5 @@ mod tests {
         // `run`, but keeps the table format honest).
         let gap: f64 = table.rows[0][9].parse().unwrap();
         assert!(gap <= 1e-6);
-    }
-
-    #[test]
-    fn crossover_probe_fits_a_threshold_in_cell_units() {
-        let table = run_crossover(&RunConfig {
-            quick: true,
-            seed: 0x11,
-        });
-        assert_eq!(table.num_rows(), 9);
-        // Every probe row reports the exact Auto cell estimate, and the
-        // fitted threshold lands in the note.
-        for row in &table.rows {
-            let cells: usize = row[2].parse().unwrap();
-            assert!(cells > 0);
-        }
-        assert!(table.notes[0].contains("fitted crossover"));
     }
 }

@@ -37,9 +37,7 @@ pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
         ("msm_ratio", |c| vec![msm_ratio::run(c)]),
         ("independent", |c| vec![independent::run(c)]),
         ("lp_rounding", |c| vec![lp_rounding::run(c)]),
-        ("lp_scaling", |c| {
-            vec![lp_scaling::run(c), lp_scaling::run_crossover(c)]
-        }),
+        ("lp_scaling", |c| vec![lp_scaling::run(c)]),
         ("chains", |c| vec![chains::run(c)]),
         ("forests", |c| vec![forests::run(c)]),
         ("chain_decomposition", |c| vec![decomposition::run(c)]),

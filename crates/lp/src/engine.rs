@@ -1,20 +1,20 @@
-//! Engine selection: the dense tableau vs the revised simplex over CSR.
+//! Engine selection: the revised simplex over CSR, or the dense tableau.
 //!
-//! The workspace ships two interchangeable simplex implementations:
+//! The workspace ships two simplex implementations:
 //!
-//! * [`crate::dense`] — the original two-phase dense tableau. Every pivot is a
-//!   full pass over the `(rows + 1) × (cols + 1)` tableau. Simple, and the
-//!   fastest option for tiny problems where the whole tableau fits in cache.
-//!   It doubles as the differential-testing oracle for the revised engine.
 //! * [`crate::revised`] — the revised simplex over CSR/CSC sparse structures
-//!   with a product-form (eta-file) basis factorisation. Per-pivot cost is
-//!   proportional to the number of non-zeros, not `rows × cols`, which is the
-//!   asymptotic win for the sparse (LP1)/(LP2) instances the paper's
-//!   algorithms generate.
+//!   with a sparse LU basis factorisation. Per-pivot cost is proportional to
+//!   the number of non-zeros, not `rows × cols`, and it is the only engine
+//!   that captures and consumes warm-start bases. It solves every production
+//!   LP: [`Engine::Auto`] (the default) and [`Engine::Revised`] both run it,
+//!   at every problem size.
+//! * [`crate::dense`] — the original two-phase dense tableau: every pivot is
+//!   a full pass over the `(rows + 1) × (cols + 1)` tableau. It is the
+//!   differential-testing oracle for the revised engine and the revised
+//!   engine's fallback on numerical breakdown; [`Engine::Dense`] forces it.
 //!
-//! [`solve`] auto-selects: dense below [`DENSE_CELL_THRESHOLD`] estimated
-//! tableau cells, revised above. Both engines share [`SimplexOptions`] and the
-//! Dantzig-with-Bland-fallback pivoting discipline.
+//! Both engines share [`SimplexOptions`] and the Dantzig-with-Bland-fallback
+//! pivoting discipline.
 
 use crate::model::{Constraint, ConstraintOp, LpProblem};
 use crate::solution::{LpError, LpSolution, LpStatus};
@@ -23,8 +23,8 @@ use crate::solution::{LpError, LpSolution, LpStatus};
 /// `(slack, artificial)`: every inequality gets a slack/surplus column, and
 /// every row that is not an effective `≤` after rhs normalisation (a `≥` row
 /// with rhs ≤ 0 negates into one) also gets an artificial — a `≥` row with
-/// positive rhs contributes both. Single source of truth shared by the
-/// [`Engine::Auto`] size estimate and both engine builders.
+/// positive rhs contributes both. Single source of truth shared by both
+/// engine builders.
 pub(crate) fn row_extra_columns(c: &Constraint) -> (bool, bool) {
     let slack = c.op != ConstraintOp::Eq;
     let effective_le = match c.op {
@@ -38,41 +38,26 @@ pub(crate) fn row_extra_columns(c: &Constraint) -> (bool, bool) {
 /// Which simplex implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Pick automatically from the problem size: dense for tiny problems,
-    /// revised otherwise.
+    /// The default: the revised simplex, exactly as [`Engine::Revised`].
     #[default]
     Auto,
-    /// Force the dense two-phase tableau.
+    /// Force the dense two-phase tableau (the test oracle).
     Dense,
-    /// Force the revised simplex over CSR.
+    /// The revised simplex over CSR.
     Revised,
 }
 
-/// Problems whose exact tableau size `(rows + 1) × (total columns + 1)` —
-/// structural plus slack/surplus plus artificial — is at most this many
-/// cells stay on the dense engine under [`Engine::Auto`]: at that size the
-/// dense tableau fits comfortably in cache and has no factorisation
-/// bookkeeping to amortise.
-///
-/// The value is *measured*, not guessed: the `exp_lp_scaling` experiment's
-/// crossover probe times both engines on (LP2) relaxations bracketing the
-/// break-even size and fits the cell count where the revised engine starts
-/// winning (geometric midpoint between the largest dense-winning point and
-/// the smallest revised-winning point; see the "auto crossover" table in
-/// `BENCH_lp_scaling.json`). The recorded fit is ≈ 35,700 cells from the
-/// bracket (31,347 dense-winning; 40,586 revised-winning), rounded here.
-/// Re-fit after any engine change.
-pub const DENSE_CELL_THRESHOLD: usize = 35_000;
+/// Problems of at most this many tableau cells (see [`tableau_cells`]) stay
+/// on the dense engine under [`Engine::Auto`]. Zero: `Auto` runs the revised
+/// simplex at every size. Only the `perfbench` benchmark reads this constant.
+pub const DENSE_CELL_THRESHOLD: usize = 0;
 
 /// The exact standard-form tableau size `(rows + 1) × (total columns + 1)`
-/// of a problem — the quantity [`Engine::Auto`] compares against
-/// [`DENSE_CELL_THRESHOLD`]. Exposed so the `exp_lp_scaling` crossover probe
-/// fits the threshold in the same units the selector uses.
+/// of a problem: structural plus slack/surplus plus artificial columns.
+/// Only the `perfbench` benchmark reads it.
 #[must_use]
 pub fn tableau_cells(problem: &LpProblem) -> usize {
     let rows = problem.num_constraints();
-    // Count the extra columns exactly (one cheap O(rows) pass over the
-    // shared per-row classification).
     let extra: usize = problem
         .constraints()
         .iter()
@@ -95,7 +80,8 @@ pub struct SimplexOptions {
     /// Number of consecutive degenerate pivots after which the solver switches
     /// from Dantzig's rule to Bland's anti-cycling rule.
     pub stall_threshold: usize,
-    /// Which engine to run.
+    /// Which engine to run: the revised simplex unless [`Engine::Dense`]
+    /// forces the dense tableau.
     pub engine: Engine,
     /// Revised engine only: number of eta updates accumulated before the
     /// basis is refactorised from scratch (bounds both numerical drift and
@@ -169,14 +155,7 @@ pub(crate) fn budget_check(iterations: usize, options: &SimplexOptions) -> Resul
 pub fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
     match options.engine {
         Engine::Dense => crate::dense::solve_dense(problem, options),
-        Engine::Revised => crate::revised::solve_revised(problem, options),
-        Engine::Auto => {
-            if tableau_cells(problem) <= DENSE_CELL_THRESHOLD {
-                crate::dense::solve_dense(problem, options)
-            } else {
-                crate::revised::solve_revised(problem, options)
-            }
-        }
+        Engine::Auto | Engine::Revised => crate::revised::solve_revised(problem, options),
     }
 }
 
@@ -205,36 +184,6 @@ pub(crate) fn solve_empty(problem: &LpProblem, options: &SimplexOptions) -> LpSo
 mod tests {
     use super::*;
     use crate::model::Sense;
-
-    #[test]
-    fn auto_routes_tiny_problems_to_dense_and_large_to_revised() {
-        // Indirect check: both engines must agree anyway, so the observable
-        // contract of Auto is simply that it solves. Exercise both branches.
-        let mut tiny = LpProblem::new(Sense::Maximize);
-        let x = tiny.add_variable("x");
-        tiny.set_objective_coefficient(x, 1.0);
-        tiny.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 3.0, "c");
-        let sol = solve(&tiny, &SimplexOptions::default()).unwrap();
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert!((sol.objective - 3.0).abs() < 1e-9);
-
-        let mut large = LpProblem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..200)
-            .map(|i| large.add_variable(format!("v{i}")))
-            .collect();
-        for (i, &v) in vars.iter().enumerate() {
-            large.set_objective_coefficient(v, 1.0 + (i % 7) as f64);
-            large.add_constraint(vec![(v, 1.0)], ConstraintOp::Le, 2.0, format!("c{i}"));
-        }
-        assert!(
-            tableau_cells(&large) > DENSE_CELL_THRESHOLD,
-            "sweep point must hit revised"
-        );
-        let sol = solve(&large, &SimplexOptions::default()).unwrap();
-        assert_eq!(sol.status, LpStatus::Optimal);
-        let expected: f64 = (0..200).map(|i| 2.0 * (1.0 + (i % 7) as f64)).sum();
-        assert!((sol.objective - expected).abs() < 1e-6);
-    }
 
     #[test]
     fn pivot_budget_trips_with_budget_exhausted_on_both_engines() {
@@ -403,6 +352,20 @@ mod tests {
             assert!(sol.phase1_iterations >= 1, "{engine:?}");
             assert!(sol.phase1_iterations <= sol.iterations, "{engine:?}");
         }
+    }
+
+    #[test]
+    fn auto_runs_the_revised_engine_even_on_tiny_problems() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.set_objective_coefficient(x, 2.0);
+        lp.set_objective_coefficient(y, 3.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
+        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
+        let auto = solve(&lp, &SimplexOptions::default()).unwrap();
+        let revised = crate::revised::solve_revised(&lp, &SimplexOptions::default()).unwrap();
+        assert_eq!(auto, revised);
     }
 
     #[test]

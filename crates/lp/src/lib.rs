@@ -1,5 +1,5 @@
-//! A self-contained linear-programming solver with two interchangeable
-//! simplex engines.
+//! A self-contained linear-programming solver: the revised simplex, with the
+//! dense tableau as its oracle.
 //!
 //! The chain-scheduling algorithm of §4.1 of *Approximation Algorithms for
 //! Multiprocessor Scheduling under Uncertainty* solves the relaxed linear
@@ -13,19 +13,20 @@
 //!   or maximise.
 //! * [`sparse::CsrMatrix`] — compressed-sparse-row storage with row
 //!   iteration, column gather and transpose (the CSC view).
-//! * [`dense`] — the original two-phase dense-tableau simplex: the engine for
-//!   tiny problems and the differential-testing oracle.
 //! * [`lu`] — sparse LU factorisation of the basis (Markowitz ordering,
 //!   threshold partial pivoting) with Forrest–Tomlin row-spike updates, so a
 //!   pivot costs the non-zeros it touches and "reinversion" is a periodic
 //!   refactorisation triggered by update count or fill-in growth.
 //! * [`revised`] — the revised simplex over CSR/CSC on top of those factors,
 //!   with devex reference-framework pricing fed by a partial candidate list;
-//!   per-pivot cost scales with the non-zeros instead of `rows × cols`.
-//! * [`engine::solve`] — the single entry point: picks the engine from
-//!   [`SimplexOptions::engine`] (`Auto` routes problems below a *measured*
-//!   tableau-cell crossover to dense, everything else to revised; see
-//!   [`engine::DENSE_CELL_THRESHOLD`]).
+//!   per-pivot cost scales with the non-zeros instead of `rows × cols`. It
+//!   solves every production LP, and its warm-start entry point
+//!   [`solve_warm`] re-solves from a previous solve's basis.
+//! * [`dense`] — the original two-phase dense-tableau simplex: the
+//!   differential-testing oracle, and the revised engine's fallback when a
+//!   solve breaks down numerically.
+//! * [`engine::solve`] — the single entry point: runs the revised simplex
+//!   unless [`SimplexOptions::engine`] forces [`Engine::Dense`].
 //!
 //! Degenerate stretches switch either engine to Bland's anti-cycling rule
 //! (dense prices with Dantzig's rule throughout), and both engines return

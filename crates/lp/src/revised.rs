@@ -41,7 +41,9 @@
 //! any still basic (at value zero) are pivoted out lazily by the ratio test
 //! the moment an entering column crosses their row. If the factorisation ever
 //! turns singular or the solution fails a final feasibility check, the solver
-//! transparently falls back to the dense oracle.
+//! hands the problem to the dense tableau ([`crate::dense`]) rather than
+//! return a wrong answer: the only way a production solve reaches the dense
+//! engine.
 //!
 //! The pivot loop allocates no per-pivot temporaries: all work vectors
 //! (multipliers, direction, devex reference row, candidate list) and the LU
@@ -211,7 +213,8 @@ impl WarmOutcome {
 }
 
 /// [`solve_revised`] plus a final-basis snapshot, for callers that feed a
-/// warm-start index. Identical pivot-for-pivot to [`solve_revised`].
+/// warm-start index: [`solve_warm`] from an empty donor. Identical
+/// pivot-for-pivot to [`solve_revised`].
 ///
 /// # Errors
 ///
@@ -220,15 +223,7 @@ pub fn solve_revised_with_basis(
     problem: &LpProblem,
     options: &SimplexOptions,
 ) -> Result<WarmOutcome, LpError> {
-    if problem.num_variables() == 0 {
-        return Ok(WarmOutcome {
-            solution: crate::engine::solve_empty(problem, options),
-            basis: Vec::new(),
-            factors: None,
-            warm: false,
-        });
-    }
-    finish_outcome(try_solve_capture(problem, options), problem, options)
+    solve_warm(problem, WarmStart::default(), options)
 }
 
 /// Solves a linear program starting from a warm basis.
@@ -243,6 +238,10 @@ pub fn solve_revised_with_basis(
 ///   still dual-feasible);
 /// * **neither** — cold two-phase solve from the crash basis, exactly as
 ///   [`solve_revised`] would run it.
+///
+/// A donor whose basis is empty or does not have one entry per constraint
+/// row cannot fit, so it goes straight to the cold solve (reporting
+/// `warm: false`) without building the solver twice.
 ///
 /// Every path runs under the same pivot/deadline budgets and keeps the
 /// pivots-as-clock determinism contract: the same problem plus the same warm
@@ -264,7 +263,12 @@ pub fn solve_warm(
             warm: false,
         });
     }
-    finish_outcome(try_solve_warm(problem, warm, options), problem, options)
+    let result = if warm.basis.is_empty() || warm.basis.len() != problem.num_constraints() {
+        try_solve_capture(problem, options)
+    } else {
+        try_solve_warm(problem, warm, options)
+    };
+    finish_outcome(result, problem, options)
 }
 
 /// Maps internal [`Trouble`] to the public error surface, routing numerical
@@ -1288,9 +1292,9 @@ impl Revised {
     /// Rebuilds the LU factors from scratch for the current basis books and
     /// recomputes `x_B = B⁻¹ b`. Positions keep their variables — only the
     /// internal elimination ordering changes.
-    /// Installs a warm basis, returning `false` when it cannot seed this
-    /// problem (wrong row count, artificial or duplicate columns, or a
-    /// singular basis matrix).
+    /// Installs a warm basis of one entry per row (checked by
+    /// [`solve_warm`]), returning `false` when it cannot seed this problem
+    /// (artificial or duplicate columns, or a singular basis matrix).
     ///
     /// Donor LU factors are adopted only when a residual check proves they
     /// still invert *this* problem's basis matrix — exactly the cost/rhs-only
@@ -1299,9 +1303,7 @@ impl Revised {
     /// fresh factorisation of the same basis, so the factors are an
     /// optimisation and never a correctness input.
     fn try_install_warm(&mut self, warm: WarmStart) -> bool {
-        if warm.basis.len() != self.nrows {
-            return false;
-        }
+        debug_assert_eq!(warm.basis.len(), self.nrows, "solve_warm checks the length");
         if warm.basis.iter().any(|&c| c >= self.num_real) {
             return false;
         }
@@ -1902,6 +1904,18 @@ mod tests {
                 "fallback objective diverged"
             );
         }
+    }
+
+    #[test]
+    fn empty_donor_solves_cold_even_without_rows() {
+        // A row-less LP has an empty basis, so an empty donor has the right
+        // length; it still installs nothing and must not report `warm`.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_variable("x");
+        lp.set_objective_coefficient(x, 1.0);
+        let outcome = solve_warm(&lp, WarmStart::default(), &opts()).unwrap();
+        assert!(!outcome.warm);
+        assert_eq!(outcome.solution, solve_revised(&lp, &opts()).unwrap());
     }
 
     #[test]

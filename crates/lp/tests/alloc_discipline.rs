@@ -20,6 +20,10 @@
 //! service's warm-basis index does on every lookup) costs a fixed number of
 //! allocations, not one per row or column of the basis.
 //!
+//! A third claim is about cold warm-start calls: [`solve_warm`] from an
+//! empty donor (the first solve of every structural class) builds the solver
+//! once, so it allocates exactly as [`solve_revised_with_basis`] does.
+//!
 //! The counter is per thread. The default test harness runs `#[test]`s
 //! concurrently and allocates on its own threads as results come in, so a
 //! process-wide count would pick up a sibling test's (or the harness's)
@@ -30,8 +34,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use suu_lp::{
-    solve_revised, solve_revised_with_basis, ConstraintOp, LpError, LpProblem, Sense,
-    SimplexOptions, VarId,
+    solve_revised, solve_revised_with_basis, solve_warm, ConstraintOp, LpError, LpProblem, Sense,
+    SimplexOptions, VarId, WarmStart,
 };
 
 struct CountingAlloc;
@@ -260,6 +264,26 @@ fn cloning_a_captured_donor_costs_a_fixed_number_of_allocations() {
         assert!(
             allocs <= 48,
             "{n}x{m}: cloning a donor of dimension {dim} made {allocs} allocations"
+        );
+    }
+}
+
+#[test]
+fn cold_solve_warm_allocates_exactly_as_the_capturing_cold_solve() {
+    for (n, m) in [(8, 3), (40, 6)] {
+        let lp = chains_lp1(n, m, 4);
+        let options = SimplexOptions::default();
+        let before = alloc_calls();
+        let capture = solve_revised_with_basis(&lp, &options).expect("(LP1) solves");
+        let capture_allocs = alloc_calls() - before;
+        let before = alloc_calls();
+        let cold = solve_warm(&lp, WarmStart::default(), &options).expect("(LP1) solves");
+        let cold_allocs = alloc_calls() - before;
+        assert!(!cold.warm, "{n}x{m}: an empty donor is a cold solve");
+        assert_eq!(cold.solution, capture.solution, "{n}x{m}");
+        assert_eq!(
+            cold_allocs, capture_allocs,
+            "{n}x{m}: a cold solve_warm must build the solver once"
         );
     }
 }

@@ -6,15 +6,13 @@
 //! repetitions), so the service fronts every solve with this cache.
 //!
 //! Keys are the [`canonical_digest`](SuuInstance::canonical_digest) of the
-//! instance plus the solver name plus the request's engine **variant** (see
-//! [`SolveOptions::engine_variant`](crate::protocol::SolveOptions::engine_variant):
-//! a forced LP engine can reach a different optimal vertex, so it solves and
-//! caches separately, while budgets, cache policy and response projection
-//! deliberately share the variant — they never change the computed
-//! artifact). The full instance is stored alongside each entry and compared
-//! on lookup, so a digest collision can never serve a schedule for the wrong
-//! instance. Shards are independent mutexes selected by digest, so
-//! concurrent workers rarely contend on the same lock.
+//! instance plus the solver name. Request options never fork a key:
+//! budgets, cache policy, response projection, tracing and the ignored
+//! `engine` field cannot change the computed artifact, since every LP runs
+//! the same revised simplex. The full instance is stored alongside each
+//! entry and compared on lookup, so a digest collision can never serve a
+//! schedule for the wrong instance. Shards are independent mutexes selected
+//! by digest, so concurrent workers rarely contend on the same lock.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -167,9 +165,6 @@ impl CachedSolve {
 struct Entry {
     instance: SuuInstance,
     solver: String,
-    /// Engine variant of the request that computed this entry (see
-    /// [`SolveOptions::engine_variant`](crate::protocol::SolveOptions::engine_variant)).
-    variant: u8,
     value: CachedSolve,
     last_used: u64,
 }
@@ -341,10 +336,10 @@ impl ScheduleCache {
         })
     }
 
-    /// Looks up the cached solve of `instance` by `solver` under the given
-    /// engine `variant`, refreshing its recency on a hit.
+    /// Looks up the cached solve of `instance` by `solver`, refreshing its
+    /// recency on a hit.
     #[must_use]
-    pub fn get(&self, instance: &SuuInstance, solver: &str, variant: u8) -> Option<CachedSolve> {
+    pub fn get(&self, instance: &SuuInstance, solver: &str) -> Option<CachedSolve> {
         let digest = instance.canonical_digest();
         let mut shard = self.shard_for(digest).lock().expect("cache shard poisoned");
         shard.tick += 1;
@@ -352,7 +347,7 @@ impl ScheduleCache {
         let found = shard.entries.get_mut(&digest).and_then(|bucket| {
             bucket
                 .iter_mut()
-                .find(|e| e.solver == solver && e.variant == variant && e.instance == *instance)
+                .find(|e| e.solver == solver && e.instance == *instance)
         });
         match found {
             Some(entry) => {
@@ -368,10 +363,9 @@ impl ScheduleCache {
         }
     }
 
-    /// Inserts (or refreshes) the solve result for `instance` under the
-    /// given engine `variant`, evicting the least recently used entry of the
-    /// shard if it is full.
-    pub fn insert(&self, instance: &SuuInstance, variant: u8, value: CachedSolve) {
+    /// Inserts (or refreshes) the solve result for `instance`, evicting the
+    /// least recently used entry of the shard if it is full.
+    pub fn insert(&self, instance: &SuuInstance, value: CachedSolve) {
         let digest = instance.canonical_digest();
         let mut shard = self.shard_for(digest).lock().expect("cache shard poisoned");
         shard.tick += 1;
@@ -380,7 +374,7 @@ impl ScheduleCache {
         let bucket = shard.entries.entry(digest).or_default();
         if let Some(entry) = bucket
             .iter_mut()
-            .find(|e| e.solver == value.solver && e.variant == variant && e.instance == *instance)
+            .find(|e| e.solver == value.solver && e.instance == *instance)
         {
             entry.value = value;
             entry.last_used = tick;
@@ -389,7 +383,6 @@ impl ScheduleCache {
         bucket.push(Entry {
             instance: instance.clone(),
             solver: value.solver.clone(),
-            variant,
             value,
             last_used: tick,
         });
@@ -504,9 +497,9 @@ mod tests {
     fn get_miss_then_hit() {
         let cache = ScheduleCache::new(&CacheConfig::default());
         let inst = instance(1);
-        assert!(cache.get(&inst, "suu-c", 0).is_none());
-        cache.insert(&inst, 0, solve_for(&inst, "suu-c"));
-        let hit = cache.get(&inst, "suu-c", 0).unwrap();
+        assert!(cache.get(&inst, "suu-c").is_none());
+        cache.insert(&inst, solve_for(&inst, "suu-c"));
+        let hit = cache.get(&inst, "suu-c").unwrap();
         assert_eq!(hit.solver, "suu-c");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -517,9 +510,9 @@ mod tests {
     fn solver_name_is_part_of_the_key() {
         let cache = ScheduleCache::new(&CacheConfig::default());
         let inst = instance(2);
-        cache.insert(&inst, 0, solve_for(&inst, "suu-c"));
-        assert!(cache.get(&inst, "suu-i-obl", 0).is_none());
-        assert!(cache.get(&inst, "suu-c", 0).is_some());
+        cache.insert(&inst, solve_for(&inst, "suu-c"));
+        assert!(cache.get(&inst, "suu-i-obl").is_none());
+        assert!(cache.get(&inst, "suu-c").is_some());
     }
 
     #[test]
@@ -527,16 +520,16 @@ mod tests {
         let cache = ScheduleCache::new(&CacheConfig::default());
         let a = instance(3);
         let b = instance(4);
-        cache.insert(&a, 0, solve_for(&a, "s"));
-        assert!(cache.get(&b, "s", 0).is_none());
+        cache.insert(&a, solve_for(&a, "s"));
+        assert!(cache.get(&b, "s").is_none());
     }
 
     #[test]
     fn insert_refreshes_existing_entry_without_growing() {
         let cache = ScheduleCache::new(&CacheConfig::default());
         let inst = instance(5);
-        cache.insert(&inst, 0, solve_for(&inst, "s"));
-        cache.insert(&inst, 0, solve_for(&inst, "s"));
+        cache.insert(&inst, solve_for(&inst, "s"));
+        cache.insert(&inst, solve_for(&inst, "s"));
         assert_eq!(cache.len(), 1);
     }
 
@@ -550,15 +543,15 @@ mod tests {
         let a = instance(10);
         let b = instance(11);
         let c = instance(12);
-        cache.insert(&a, 0, solve_for(&a, "s"));
-        cache.insert(&b, 0, solve_for(&b, "s"));
+        cache.insert(&a, solve_for(&a, "s"));
+        cache.insert(&b, solve_for(&b, "s"));
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(cache.get(&a, "s", 0).is_some());
-        cache.insert(&c, 0, solve_for(&c, "s"));
+        assert!(cache.get(&a, "s").is_some());
+        cache.insert(&c, solve_for(&c, "s"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&a, "s", 0).is_some());
-        assert!(cache.get(&b, "s", 0).is_none());
-        assert!(cache.get(&c, "s", 0).is_some());
+        assert!(cache.get(&a, "s").is_some());
+        assert!(cache.get(&b, "s").is_none());
+        assert!(cache.get(&c, "s").is_some());
     }
 
     #[test]
@@ -570,11 +563,11 @@ mod tests {
         let a = instance(20);
         let b = instance(21);
         let c = instance(22);
-        assert!(cache.get(&a, "s", 0).is_none());
-        cache.insert(&a, 0, solve_for(&a, "s"));
-        cache.insert(&b, 0, solve_for(&b, "s"));
-        assert!(cache.get(&a, "s", 0).is_some());
-        cache.insert(&c, 0, solve_for(&c, "s"));
+        assert!(cache.get(&a, "s").is_none());
+        cache.insert(&a, solve_for(&a, "s"));
+        cache.insert(&b, solve_for(&b, "s"));
+        assert!(cache.get(&a, "s").is_some());
+        cache.insert(&c, solve_for(&c, "s"));
 
         let stats = cache.shard_stats();
         assert_eq!(stats.len(), 1);
@@ -604,11 +597,11 @@ mod tests {
         let b = instance(31);
         let c = instance(32);
         assert!(cache.lookup_base(a.canonical_digest()).is_none());
-        cache.insert(&a, 0, solve_for(&a, "s"));
-        cache.insert(&b, 0, solve_for(&b, "s"));
+        cache.insert(&a, solve_for(&a, "s"));
+        cache.insert(&b, solve_for(&b, "s"));
         assert_eq!(cache.lookup_base(a.canonical_digest()), Some(a.clone()));
         // The base lookup refreshed `a`, so inserting `c` evicts `b`.
-        cache.insert(&c, 0, solve_for(&c, "s"));
+        cache.insert(&c, solve_for(&c, "s"));
         assert!(cache.lookup_base(a.canonical_digest()).is_some());
         assert!(cache.lookup_base(b.canonical_digest()).is_none());
     }
@@ -662,8 +655,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..50 {
                         let inst = &instances[(t + round) % instances.len()];
-                        if cache.get(inst, "s", 0).is_none() {
-                            cache.insert(inst, 0, solve_for(inst, "s"));
+                        if cache.get(inst, "s").is_none() {
+                            cache.insert(inst, solve_for(inst, "s"));
                         }
                     }
                 })

@@ -29,13 +29,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use crate::cache::CachedSolve;
 use crate::protocol::SolveFailure;
 
-/// Key of one in-flight solve: instance digest, engine variant (see
-/// [`SolveOptions::engine_variant`](crate::protocol::SolveOptions::engine_variant))
-/// and solver name — the same triple that keys the schedule cache. Options
-/// that cannot change the computed artifact (budgets, cache policy, the
-/// `detail` projection) deliberately do **not** appear here, so requests
-/// differing only in projection still coalesce onto one solve.
-pub type FlightKey = (u64, u8, String);
+/// Key of one in-flight solve: instance digest and solver name — the same
+/// pair that keys the schedule cache. No request option appears here
+/// (budgets, cache policy, the `detail` projection, tracing and the ignored
+/// `engine` field cannot change the computed artifact), so requests
+/// differing only in options still coalesce onto one solve.
+pub type FlightKey = (u64, String);
 
 /// One in-flight solve: the leader publishes here, followers wait here.
 struct Slot {
@@ -261,7 +260,7 @@ mod tests {
     #[test]
     fn probe_hit_short_circuits() {
         let flight = SingleFlight::new();
-        let out = flight.begin((1, 0, "s".into()), || Some(solve("cached")));
+        let out = flight.begin((1, "s".into()), || Some(solve("cached")));
         match out {
             Ok(hit) => assert_eq!(hit.solver, "cached"),
             Err(_) => panic!("probe hit must not create a slot"),
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn leader_then_follower_then_cleared() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (7, 0, "s".into());
+        let key: FlightKey = (7, "s".into());
         let guard = match flight.begin(key.clone(), || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("first caller must lead"),
@@ -307,7 +306,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     let probe = || cache.lock().unwrap().clone();
-                    match flight.begin((42, 0, "s".into()), probe) {
+                    match flight.begin((42, "s".into()), probe) {
                         Ok(hit) => hit.solver,
                         Err(Flight::Lead(guard)) => {
                             leaders.fetch_add(1, Ordering::SeqCst);
@@ -331,7 +330,7 @@ mod tests {
     #[test]
     fn leader_errors_propagate_but_are_not_sticky() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (9, 0, "s".into());
+        let key: FlightKey = (9, "s".into());
         let guard = match flight.begin(key.clone(), || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
@@ -352,7 +351,7 @@ mod tests {
     #[test]
     fn follower_deadline_binds_while_waiting() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (13, 0, "s".into());
+        let key: FlightKey = (13, "s".into());
         let guard = match flight.begin(key.clone(), || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
@@ -377,7 +376,7 @@ mod tests {
     #[test]
     fn follower_wait_until_returns_published_results() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (14, 0, "s".into());
+        let key: FlightKey = (14, "s".into());
         let guard = match flight.begin(key.clone(), || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn dropped_leader_releases_followers_with_an_error() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (11, 0, "s".into());
+        let key: FlightKey = (11, "s".into());
         let guard = match flight.begin(key.clone(), || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),

@@ -34,9 +34,7 @@ use suu_workloads::{
 
 use serde::Value;
 
-use crate::protocol::{
-    error_kind, scan_u64_field, Detail, EngineChoice, Request, Response, SolveOptions,
-};
+use crate::protocol::{error_kind, scan_u64_field, Detail, Request, Response, SolveOptions};
 use crate::session::{drive_session, DriveConfig};
 
 /// Load-generator configuration.
@@ -363,30 +361,21 @@ pub fn build_request_pool(
             // cache with full payloads, then ~95% of the traffic is one-cell
             // `set_prob` deltas against those bases — each a *distinct*
             // instance (no cache hits) inside an unchanged structural class
-            // (every solve warm-starts from the tenant's cached basis). The
-            // revised engine is forced per request because only the revised
-            // simplex captures and consumes bases; `Auto` would route these
-            // serving-sized instances to the dense tableau and measure
-            // nothing.
+            // (every solve warm-starts from the tenant's cached basis).
             let (tenants, stream) = tenant_drift_stream(&drift_config(total_requests, seed));
             return Ok(stream
                 .iter()
                 .enumerate()
                 .map(|(k, event)| {
                     let id = k as u64 + 1;
-                    let mut request = match &event.edit {
+                    match &event.edit {
                         Some(delta) => Request::from_delta(
                             id,
                             tenants[event.tenant].canonical_digest(),
                             delta.clone(),
                         ),
                         None => Request::from_instance(id, &tenants[event.tenant]),
-                    };
-                    request.options = Some(SolveOptions {
-                        engine: Some(EngineChoice::Revised),
-                        ..SolveOptions::default()
-                    });
-                    request
+                    }
                 })
                 .collect());
         }
@@ -760,15 +749,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
         .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
     if let Some(options) = config.request_options() {
         for request in &mut pool {
-            // Merge rather than overwrite: scenarios may pin per-request
-            // options of their own (tenant_drift forces the revised engine),
-            // which a run-level deadline or trace flag must not clobber.
-            let scenario = request.options.unwrap_or_default();
-            request.options = Some(SolveOptions {
-                engine: options.engine.or(scenario.engine),
-                trace: options.trace || scenario.trace,
-                ..options
-            });
+            request.options = Some(options);
         }
     }
     let lines: Vec<(u64, String)> = pool
@@ -1363,12 +1344,9 @@ mod tests {
         // submitted before the delta on a serial replay.
         assert!(pool[0].base_digest.is_none());
         for req in &pool {
-            // Every request pins the revised engine (the only one that
-            // captures and consumes bases).
-            assert_eq!(
-                req.options.as_ref().and_then(|o| o.engine),
-                Some(EngineChoice::Revised)
-            );
+            // No request needs an engine pin: every LP runs the revised
+            // simplex, which captures and consumes bases.
+            assert!(req.options.is_none());
             // Delta requests reference a digest that a full request in the
             // pool also carries as its payload.
             if let Some(wire) = &req.base_digest {

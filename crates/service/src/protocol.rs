@@ -38,20 +38,22 @@
 //!
 //! ```json
 //! {"id": 9, "num_jobs": 2, "num_machines": 1, "probs": [0.5, 0.5],
-//!  "options": {"engine": "revised", "max_pivots": 5000,
+//!  "options": {"max_pivots": 5000,
 //!              "time_budget_ms": 50, "deadline_ms": 1800000000000,
 //!              "cache": "default", "detail": "no_schedule"}}
 //! ```
 //!
 //! Every field is optional and an absent `options` object means exactly the
 //! v1 behaviour — v1 request lines produce byte-identical responses (pinned
-//! by the golden corpus in `tests/v1_golden.rs`). `engine` overrides the LP
-//! engine, `max_pivots` bounds simplex work, `time_budget_ms` is a relative
-//! budget starting when the service accepts the request (queueing time
-//! counts), `deadline_ms` is an absolute Unix-epoch-milliseconds deadline;
-//! the effective deadline is the earlier of the two. `cache` selects the
-//! cache interaction ([`CachePolicy`]) and `detail` the response projection
-//! ([`Detail`]).
+//! by the golden corpus in `tests/v1_golden.rs`). `engine` (`"auto"`,
+//! `"dense"` or `"revised"`) is accepted and validated but ignored: every LP
+//! runs the revised simplex, and the field never forks a cache or
+//! single-flight key. `max_pivots` bounds simplex work, `time_budget_ms` is
+//! a relative budget starting when the service accepts the request
+//! (queueing time counts), `deadline_ms` is an absolute
+//! Unix-epoch-milliseconds deadline; the effective deadline is the earlier
+//! of the two. `cache` selects the cache interaction ([`CachePolicy`]) and
+//! `detail` the response projection ([`Detail`]).
 //!
 //! Budget outcomes are structured: a request that expires before a solver
 //! thread picks it up is answered `error_kind: "deadline_exceeded"` without
@@ -115,7 +117,7 @@
 //! ```json
 //! {"id": 12, "base_digest": "91f4c3a07b5e2d18",
 //!  "delta": {"set_prob": [[0, 2, 0.75]]},
-//!  "options": {"engine": "revised", "trace": true}}
+//!  "options": {"trace": true}}
 //! ```
 //!
 //! The service resolves the digest against its schedule cache, applies the
@@ -137,22 +139,18 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use serde::{DeError, Deserialize, Serialize, Value};
 use suu_core::{InstanceDelta, ObliviousSchedule, SuuInstance};
 use suu_graph::Dag;
-use suu_lp::Engine;
 
-/// Which LP engine override the client requested.
-///
-/// `Auto` is explicit "pick by problem size" — identical to omitting the
-/// field, and deliberately sharing its cache key: the choice is deterministic
-/// per instance, so the produced schedule is the same. `Dense` and `Revised`
-/// can reach *different* optimal vertices, so each gets its own cache
-/// variant (see [`SolveOptions::engine_variant`]).
+/// The `engine` value a client sent. Accepted for compatibility and
+/// ignored: every LP runs the revised simplex, so all three values (and an
+/// absent field) produce the same schedule under the same cache and
+/// single-flight key. Any other value is a `bad_request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// Pick by problem size (the default).
+    /// `"auto"`.
     Auto,
-    /// Force the dense tableau.
+    /// `"dense"`.
     Dense,
-    /// Force the revised simplex.
+    /// `"revised"`.
     Revised,
 }
 
@@ -255,7 +253,8 @@ impl Detail {
 /// empty) options object reproduces v1 behaviour exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveOptions {
-    /// LP engine override.
+    /// LP engine the client named; validated, then ignored (see
+    /// [`EngineChoice`]).
     pub engine: Option<EngineChoice>,
     /// Simplex pivot budget across the whole pipeline (summed over forest
     /// blocks). Exhaustion yields `budget_exhausted` or a degraded fallback.
@@ -294,31 +293,6 @@ impl SolveOptions {
     #[must_use]
     pub fn cache_policy(&self) -> CachePolicy {
         self.cache.unwrap_or_default()
-    }
-
-    /// The LP engine the solve should run.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        match self.engine {
-            None | Some(EngineChoice::Auto) => Engine::Auto,
-            Some(EngineChoice::Dense) => Engine::Dense,
-            Some(EngineChoice::Revised) => Engine::Revised,
-        }
-    }
-
-    /// The cache-key variant this request solves under. Only options that can
-    /// change the *computed artifact* fork the key: a forced engine can reach
-    /// a different optimal vertex, so `Dense` and `Revised` get their own
-    /// variants, while budgets (which either leave the deterministic pivot
-    /// sequence untouched or abort without caching anything), cache policy
-    /// and the `detail` projection map to the same variant as a v1 request.
-    #[must_use]
-    pub fn engine_variant(&self) -> u8 {
-        match self.engine {
-            None | Some(EngineChoice::Auto) => 0,
-            Some(EngineChoice::Dense) => 1,
-            Some(EngineChoice::Revised) => 2,
-        }
     }
 
     /// The effective absolute deadline: the earlier of `deadline_ms`
@@ -1207,7 +1181,6 @@ mod tests {
         let options = sparse.solve_options();
         assert_eq!(options.detail(), Detail::EstimateOnly);
         assert_eq!(options.cache_policy(), CachePolicy::Default);
-        assert_eq!(options.engine(), suu_lp::Engine::Auto);
 
         let bad = r#"{"id":1,"num_jobs":1,"num_machines":1,"probs":[0.5],
                       "options":{"engine":"warp"}}"#;
@@ -1229,8 +1202,6 @@ mod tests {
         );
         let back: Request = serde_json::from_str(&json).unwrap();
         assert!(back.solve_options().trace);
-        // ... and must not fork the cache key.
-        assert_eq!(back.solve_options().engine_variant(), 0);
 
         // An untraced response carries no trace key at all.
         let mut resp = Response::failure(5, "x");
@@ -1255,36 +1226,6 @@ mod tests {
         );
         let back: Response = serde_json::from_str(&json).unwrap();
         assert_eq!(back, resp);
-    }
-
-    #[test]
-    fn projection_options_do_not_fork_the_engine_variant() {
-        let v1 = SolveOptions::default();
-        assert_eq!(v1.engine_variant(), 0);
-        let projected = SolveOptions {
-            detail: Some(Detail::NoSchedule),
-            cache: Some(CachePolicy::Bypass),
-            max_pivots: Some(10),
-            time_budget_ms: Some(5),
-            ..SolveOptions::default()
-        };
-        assert_eq!(projected.engine_variant(), 0, "projection must not fork");
-        let auto = SolveOptions {
-            engine: Some(EngineChoice::Auto),
-            ..SolveOptions::default()
-        };
-        assert_eq!(auto.engine_variant(), 0, "explicit auto equals absent");
-        let dense = SolveOptions {
-            engine: Some(EngineChoice::Dense),
-            ..SolveOptions::default()
-        };
-        let revised = SolveOptions {
-            engine: Some(EngineChoice::Revised),
-            ..SolveOptions::default()
-        };
-        assert_ne!(dense.engine_variant(), 0);
-        assert_ne!(revised.engine_variant(), 0);
-        assert_ne!(dense.engine_variant(), revised.engine_variant());
     }
 
     #[test]

@@ -33,29 +33,27 @@ const FALLBACK_SOLVER: &str = "serial-baseline";
 /// Per-request execution directives derived from the wire-level
 /// [`SolveOptions`]: effective resource limits (the absolute deadline is
 /// computed from the moment the service *accepted* the request, so time
-/// spent queued counts against the budget), cache policy, response
-/// projection, and the cache-key variant.
+/// spent queued counts against the budget), cache policy and response
+/// projection. The wire's `engine` field has no directive: it is ignored.
 #[derive(Debug, Clone, Copy)]
 struct Directives {
     limits: LpBudget,
     cache: CachePolicy,
     detail: Detail,
-    variant: u8,
 }
 
 impl Directives {
     fn new(options: &SolveOptions, accepted_at: Instant) -> Self {
         Self {
             limits: LpBudget {
-                engine: options.engine(),
                 max_pivots: options
                     .max_pivots
                     .map(|p| usize::try_from(p).unwrap_or(usize::MAX)),
                 deadline: options.effective_deadline(accepted_at),
+                ..LpBudget::default()
             },
             cache: options.cache_policy(),
             detail: options.detail(),
-            variant: options.engine_variant(),
         }
     }
 
@@ -568,9 +566,7 @@ impl SchedulerService {
                 // out (the client asked for that algorithm specifically) and
                 // get the structured `budget_exhausted` error instead. The
                 // fallback drops the limits: the budget is already blown and
-                // the baseline is one cheap topological pass. Its entry is
-                // cached under variant 0 — the baseline runs no LP, so every
-                // engine variant shares one artifact.
+                // the baseline is one cheap topological pass.
                 let fallback = self
                     .registry
                     .by_name(FALLBACK_SOLVER)
@@ -580,7 +576,6 @@ impl SchedulerService {
                 };
                 let relaxed = Directives {
                     limits: LpBudget::default(),
-                    variant: 0,
                     ..*directives
                 };
                 match self.lookup_or_solve(&instance, fallback, &relaxed) {
@@ -705,7 +700,7 @@ impl SchedulerService {
         Ok((id, request))
     }
 
-    /// Resolves a schedule for `(instance, solver, variant)` under the
+    /// Resolves a schedule for `(instance, solver)` under the
     /// request's cache policy: cache hit, fresh solve, or a wait on an
     /// identical in-flight solve. The [`CacheOutcome`] distinguishes the
     /// three for the response's `cache_hit` flag and the `trace.cache` field.
@@ -720,34 +715,29 @@ impl SchedulerService {
         solver: &dyn Solver,
         directives: &Directives,
     ) -> Result<(CachedSolve, CacheOutcome), SolveFailure> {
-        let variant = directives.variant;
         match directives.cache {
             CachePolicy::Bypass => {
                 return self
-                    .run_solver(instance, solver, &directives.limits, None)
+                    .run_solver(instance, solver, &directives.limits, false)
                     .map(|s| (s, CacheOutcome::Miss));
             }
             CachePolicy::Refresh => {
                 return self
-                    .run_solver(instance, solver, &directives.limits, Some(variant))
+                    .run_solver(instance, solver, &directives.limits, true)
                     .map(|s| (s, CacheOutcome::Miss));
             }
             CachePolicy::Default => {}
         }
-        let key = (
-            instance.canonical_digest(),
-            variant,
-            solver.name().to_string(),
-        );
+        let key = (instance.canonical_digest(), solver.name().to_string());
         let mut retries = 0;
         loop {
-            match self.flight.begin(key.clone(), || {
-                self.cache.get(instance, solver.name(), variant)
-            }) {
+            match self
+                .flight
+                .begin(key.clone(), || self.cache.get(instance, solver.name()))
+            {
                 Ok(hit) => return Ok((hit, CacheOutcome::Hit)),
                 Err(Flight::Lead(guard)) => {
-                    let result =
-                        self.run_solver(instance, solver, &directives.limits, Some(variant));
+                    let result = self.run_solver(instance, solver, &directives.limits, true);
                     // `run_solver` already inserted into the cache, so
                     // publishing (which clears the slot) is safe now.
                     guard.publish(result.clone());
@@ -790,16 +780,16 @@ impl SchedulerService {
     }
 
     /// Runs the solver under the request's limits and records the
-    /// fresh-solve bookkeeping (LP effort aggregation, cache insert under
-    /// `insert_variant` unless the cache policy said to skip). Cache hits
-    /// and coalesced waits repeat the original solve's numbers in their
-    /// responses but burn no new pivots.
+    /// fresh-solve bookkeeping (LP effort aggregation, and a cache insert
+    /// when `insert` is set, i.e. unless the cache policy said to skip).
+    /// Cache hits and coalesced waits repeat the original solve's numbers in
+    /// their responses but burn no new pivots.
     fn run_solver(
         &self,
         instance: &SuuInstance,
         solver: &dyn Solver,
         limits: &LpBudget,
-        insert_variant: Option<u8>,
+        insert: bool,
     ) -> Result<CachedSolve, SolveFailure> {
         // Warm starts ride on the structural digest: a solve of the same
         // structural class (shape + precedence, probabilities free) left a
@@ -847,8 +837,8 @@ impl SchedulerService {
                     output.lp_micros,
                     output.lp_warm,
                 );
-                if let Some(variant) = insert_variant {
-                    self.cache.insert(instance, variant, solved.clone());
+                if insert {
+                    self.cache.insert(instance, solved.clone());
                 }
                 Ok(solved)
             }
@@ -988,19 +978,10 @@ impl SchedulerService {
                  (the warm-start-capable SUU-C class)",
             ));
         }
-        // Sessions pin the revised engine: it is the only simplex that
-        // captures and consumes warm-start bases, and `Auto` would route
-        // session-sized suffixes to the dense tableau (every revision cold).
-        // Variant 2 matches an explicit `engine: revised` solve request, so
-        // the cache keys stay consistent with the request path.
         let directives = Directives {
-            limits: LpBudget {
-                engine: suu_lp::Engine::Revised,
-                ..LpBudget::default()
-            },
+            limits: LpBudget::default(),
             cache: CachePolicy::Default,
             detail: Detail::Full,
-            variant: 2,
         };
         match self.lookup_or_solve(instance, solver, &directives) {
             Ok((solved, _)) => Ok(solved),
@@ -1863,11 +1844,8 @@ mod tests {
 
     #[test]
     fn structural_repeats_warm_start_and_report_it_in_the_trace() {
-        use crate::protocol::EngineChoice;
-
         let svc = service();
         let options = SolveOptions {
-            engine: Some(EngineChoice::Revised),
             trace: true,
             ..SolveOptions::default()
         };

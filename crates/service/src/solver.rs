@@ -482,12 +482,9 @@ mod tests {
             .chains(&[vec![0, 1, 2], vec![3, 4, 5]])
             .build()
             .unwrap();
-        // Force the revised engine so the basis capture/reuse path runs even
-        // on this deliberately small instance.
-        let limits = LpBudget {
-            engine: suu_lp::Engine::Revised,
-            ..LpBudget::default()
-        };
+        // The default limits capture and reuse bases even on this
+        // deliberately small instance.
+        let limits = LpBudget::default();
         let mut cold = ChainsSolver.solve_warm(&chains, &limits, None).unwrap();
         assert!(!cold.lp_warm, "no donor basis means a cold solve");
         let basis = cold

@@ -39,7 +39,8 @@ fn start_service() -> ServiceHandle {
 }
 
 /// A chains-structured tenant base: routed to the chains solver, whose LP
-/// captures (and consumes) warm-start bases under the revised engine.
+/// captures (and consumes) warm-start bases. Its (LP1) is small (4,512
+/// tableau cells).
 fn tenant_base(seed: u64) -> SuuInstance {
     let (n, m) = (8, 3);
     InstanceBuilder::new(n, m)
@@ -49,12 +50,19 @@ fn tenant_base(seed: u64) -> SuuInstance {
         .unwrap()
 }
 
-/// Per-request options every request in this battery carries: the revised
-/// engine (the only one that captures/consumes bases) plus tracing, so the
-/// responses say whether the solve warm-started.
+/// Per-request options of this battery: tracing, so the responses say
+/// whether the solve warm-started, plus an `engine` value that the service
+/// accepts and ignores.
 fn traced_revised() -> SolveOptions {
     SolveOptions {
         engine: Some(EngineChoice::Revised),
+        ..traced()
+    }
+}
+
+/// Tracing and nothing else: no engine named.
+fn traced() -> SolveOptions {
+    SolveOptions {
         trace: true,
         ..SolveOptions::default()
     }
@@ -88,12 +96,19 @@ impl Client {
 
 #[test]
 fn delta_against_a_warm_cache_solves_the_child_and_traces_warm() {
+    // Small tenants warm-start whether or not the request names an engine.
+    for options in [traced_revised(), traced()] {
+        delta_against_a_warm_cache(options);
+    }
+}
+
+fn delta_against_a_warm_cache(options: SolveOptions) {
     let handle = start_service();
     let mut client = Client::connect(&handle);
 
     let base = tenant_base(41);
     let mut prime = Request::from_instance(1, &base);
-    prime.options = Some(traced_revised());
+    prime.options = Some(options);
     let primed = client.roundtrip(&prime);
     assert!(primed.ok, "priming solve failed: {:?}", primed.error);
     assert!(
@@ -107,13 +122,18 @@ fn delta_against_a_warm_cache_solves_the_child_and_traces_warm() {
         ..InstanceDelta::default()
     };
     let mut drifted = Request::from_delta(2, base.canonical_digest(), delta.clone());
-    drifted.options = Some(traced_revised());
+    drifted.options = Some(options);
     let resp = client.roundtrip(&drifted);
     assert!(resp.ok, "delta solve failed: {:?}", resp.error);
     assert!(!resp.cache_hit, "a drifted instance is a fresh solve");
     assert!(
         resp.trace.as_ref().unwrap().warm,
-        "the drifted re-solve starts from the parent's basis"
+        "the drifted re-solve starts from the parent's basis ({options:?})"
+    );
+    assert_eq!(
+        handle.service().metrics().warm_hits(),
+        1,
+        "{options:?}: exactly the delta warm-started"
     );
 
     // The delta solved exactly the edited instance: resubmitting it in full
@@ -121,7 +141,7 @@ fn delta_against_a_warm_cache_solves_the_child_and_traces_warm() {
     // objective.
     let edited = base.apply_delta(&delta).unwrap();
     let mut full = Request::from_instance(3, &edited);
-    full.options = Some(traced_revised());
+    full.options = Some(options);
     let full_resp = client.roundtrip(&full);
     assert!(full_resp.ok);
     assert!(

@@ -221,63 +221,33 @@ fn projection_does_not_fork_the_single_flight_key() {
 }
 
 #[test]
-fn forced_engines_fork_the_cache_key_but_auto_does_not() {
+fn engine_choice_never_forks_the_cache_key() {
+    // Every LP runs the revised simplex, so the wire's `engine` field is
+    // accepted and ignored: any value, or none, is the same artifact.
     let svc = service();
-    let auto = handle(&svc, &chain_request(1));
-    assert!(auto.ok && !auto.cache_hit);
-
-    // Explicit auto is the same artifact as absent options.
-    let explicit_auto = handle(
-        &svc,
-        &with_options(
-            chain_request(2),
-            SolveOptions {
-                engine: Some(EngineChoice::Auto),
-                ..SolveOptions::default()
-            },
-        ),
-    );
-    assert!(explicit_auto.cache_hit, "auto shares the default variant");
-
-    // Forced engines solve (and cache) separately.
-    let dense = handle(
-        &svc,
-        &with_options(
-            chain_request(3),
-            SolveOptions {
-                engine: Some(EngineChoice::Dense),
-                ..SolveOptions::default()
-            },
-        ),
-    );
-    assert!(
-        dense.ok && !dense.cache_hit,
-        "dense variant is its own entry"
-    );
-    let dense_again = handle(
-        &svc,
-        &with_options(
-            chain_request(4),
-            SolveOptions {
-                engine: Some(EngineChoice::Dense),
-                ..SolveOptions::default()
-            },
-        ),
-    );
-    assert!(dense_again.cache_hit);
-    let revised = handle(
-        &svc,
-        &with_options(
-            chain_request(5),
-            SolveOptions {
-                engine: Some(EngineChoice::Revised),
-                ..SolveOptions::default()
-            },
-        ),
-    );
-    assert!(revised.ok && !revised.cache_hit);
-    // Same LP, so both engines land on the same optimum.
-    assert_eq!(dense.lp_value, revised.lp_value);
+    let engine = |engine| SolveOptions {
+        engine: Some(engine),
+        ..SolveOptions::default()
+    };
+    let traced = SolveOptions {
+        trace: true,
+        ..SolveOptions::default()
+    };
+    let first = handle(&svc, &chain_request(1));
+    assert!(first.ok && !first.cache_hit, "error: {:?}", first.error);
+    for (id, options) in [
+        (2, engine(EngineChoice::Auto)),
+        (3, engine(EngineChoice::Dense)),
+        (4, engine(EngineChoice::Revised)),
+        (5, traced),
+    ] {
+        let resp = handle(&svc, &with_options(chain_request(id), options));
+        assert!(resp.ok, "{options:?}: {:?}", resp.error);
+        assert!(resp.cache_hit, "{options:?} must share the cached entry");
+        assert_eq!(resp.lp_value, first.lp_value, "{options:?}");
+        assert_eq!(resp.schedule, first.schedule, "{options:?}");
+    }
+    assert_eq!(svc.metrics().fresh_solves(), 1, "exactly one solve total");
 }
 
 #[test]
