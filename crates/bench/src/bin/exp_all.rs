@@ -1,6 +1,6 @@
-//! Runs every experiment (E1-E14, A1-A3, S1) and prints all tables; the rows
-//! recorded in `EXPERIMENTS.md` were generated by this binary. Each
-//! experiment also persists its machine-readable `BENCH_<name>.json` record.
+//! Runs every experiment (E1-E14, A1-A3, L1, S2) and prints all tables.
+//! Each experiment also persists its machine-readable `BENCH_<name>.json`
+//! record.
 //!
 //! Usage: `cargo run --release -p suu-bench --bin exp_all [-- --quick] [--seed N]`
 

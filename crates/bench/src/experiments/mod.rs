@@ -1,7 +1,7 @@
 //! Experiment implementations (one module per experiment group).
 //!
 //! See the crate-level table for the mapping from experiment ids (E1–E14,
-//! A1–A3) to modules, and `DESIGN.md` for the full index.
+//! A1–A3, L1, S2) to modules.
 
 pub mod ablations;
 pub mod adaptive;
@@ -16,7 +16,6 @@ pub mod lp_scaling;
 pub mod mass_accumulation;
 pub mod mass_bounds;
 pub mod msm_ratio;
-pub mod service_throughput;
 
 use crate::report::Table;
 use crate::RunConfig;
@@ -53,15 +52,6 @@ pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
                 ablations::run_replication(c),
                 ablations::run_delay_strategies(c),
                 ablations::run_bucketing(c),
-            ]
-        }),
-        ("service_throughput", |c| {
-            vec![
-                service_throughput::run_sweep(c),
-                service_throughput::run_comparison(c),
-                service_throughput::run_detail_comparison(c),
-                service_throughput::run_attribution(c),
-                service_throughput::run_warm_comparison(c),
             ]
         }),
         ("adaptive", |c| vec![adaptive::run(c)]),

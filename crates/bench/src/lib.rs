@@ -2,8 +2,7 @@
 //!
 //! The paper proves approximation bounds rather than reporting measured
 //! tables, so the harness measures, for every theorem, the quantity the
-//! theorem bounds (see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results):
+//! theorem bounds:
 //!
 //! | Experiment | Paper claim exercised | Module |
 //! |---|---|---|
@@ -18,6 +17,8 @@
 //! | E12 | §4.1 random-delay congestion | [`experiments::delay_congestion`] |
 //! | E13–E14 | Figure 1 / Malewicz exact DP | [`experiments::exact_small`] |
 //! | A1–A3 | ablations (replication σ, delay strategy, bucketing) | [`experiments::ablations`] |
+//! | L1 | LP engine scaling (dense tableau vs revised simplex) | [`experiments::lp_scaling`] |
+//! | S2 | adaptive sessions vs oblivious execution | [`experiments::adaptive`] |
 //!
 //! Every experiment function takes a [`RunConfig`] (quick vs full sweeps) and
 //! returns a [`report::Table`] that the `exp_*` binaries print; the Criterion
@@ -82,23 +83,44 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Parses a config from command-line arguments (`--quick`, `--seed N`).
+    /// Parses the process's command line (`--quick`, `--seed N`). On an
+    /// argument [`parse`](Self::parse) rejects, prints the error and the
+    /// usage line to stderr and exits with status 2.
     #[must_use]
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("error: {err}\nusage: exp_* [--quick] [--seed N]");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses command-line arguments, program name excluded.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown argument, or a `--seed`
+    /// whose value is missing or not a non-negative integer.
+    pub fn parse<I, S>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
         let mut config = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        for (idx, arg) in args.iter().enumerate() {
-            match arg.as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_ref() {
                 "--quick" => config.quick = true,
                 "--seed" => {
-                    if let Some(v) = args.get(idx + 1).and_then(|s| s.parse().ok()) {
-                        config.seed = v;
-                    }
+                    let value = args.next().ok_or("`--seed` needs a value")?;
+                    let value = value.as_ref();
+                    config.seed = value
+                        .parse()
+                        .map_err(|_| format!("`--seed {value}`: not a non-negative integer"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        config
+        Ok(config)
     }
 
     /// Number of Monte-Carlo trials to use.
@@ -130,5 +152,25 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(c.trials(), 60);
+    }
+
+    #[test]
+    fn parse_reads_quick_and_seed() {
+        let c = RunConfig::parse(["--quick", "--seed", "7"]).unwrap();
+        assert!(c.quick);
+        assert_eq!(c.seed, 7);
+        let c = RunConfig::parse(Vec::<String>::new()).unwrap();
+        assert!(!c.quick);
+        assert_eq!(c.seed, RunConfig::default().seed);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_bad_seeds() {
+        let err = |args: &[&str]| RunConfig::parse(args).unwrap_err();
+        assert!(err(&["--quik"]).contains("--quik"));
+        assert!(err(&["--quick", "-q"]).contains("-q"));
+        assert!(err(&["--seed"]).contains("needs a value"));
+        assert!(err(&["--seed", "x"]).contains("--seed x"));
+        assert!(err(&["--seed", "-1"]).contains("--seed -1"));
     }
 }

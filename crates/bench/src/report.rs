@@ -1,11 +1,11 @@
 //! Plain-text result tables for the experiment binaries.
 //!
-//! The harness prints aligned text tables (one per experiment) so that the
-//! rows recorded in `EXPERIMENTS.md` can be regenerated with a single
-//! `cargo run` per experiment. Every experiment binary also persists a
-//! machine-readable [`BenchRecord`] (`BENCH_<experiment>.json`, under
-//! `$SUU_BENCH_DIR` or `target/bench-reports/`) so the performance
-//! trajectory of the repository can be tracked across commits.
+//! The harness prints aligned text tables (one per experiment), so every
+//! table can be regenerated with a single `cargo run` per experiment. Every
+//! experiment binary also persists a machine-readable [`BenchRecord`]
+//! (`BENCH_<experiment>.json`, under `$SUU_BENCH_DIR` or
+//! `target/bench-reports/`) so the performance trajectory of the repository
+//! can be tracked across commits.
 
 use std::path::PathBuf;
 use std::time::Duration;

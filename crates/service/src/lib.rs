@@ -29,11 +29,9 @@
 //!   feedback in (`completed`, `failed_machine`, `drift`) and streams
 //!   incremental schedule revisions out, each re-solved on the unfinished
 //!   suffix only and warm-started from the previous revision's basis. Also
-//!   hosts the `suu-sim`-backed closed-loop driver used by the loadgen's
-//!   `--session` mode and the `exp_adaptive` experiment.
-//! * [`loadgen`] — a load generator replaying `suu-workloads` scenarios in
-//!   closed-loop or open-loop (in-flight-capped) arrival mode, reporting
-//!   p50/p99 latency and requests/sec.
+//!   hosts the `suu-sim`-backed closed-loop driver used by the
+//!   `exp_adaptive` experiment and the repository benchmark's `sessions`
+//!   workload.
 //! * [`metrics`] — request/error/latency/coalescing counters shared by the
 //!   transports, aggregated into lock-free per-stage histograms.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
@@ -43,13 +41,12 @@
 //!   wire through the `stats` verb and the opt-in per-response `trace`
 //!   object (see [`protocol`]).
 //!
-//! Binaries: `suu_serviced` (the daemon, `--stdin` or `--tcp ADDR`) and
-//! `loadgen` (the client; see the repository README for the schema and
-//! usage).
+//! Binary: `suu_serviced` (the daemon, `--stdin` or `--tcp ADDR`; see the
+//! repository README for the schema and usage). The repository benchmark
+//! (`perfbench/`) drives it from a separate process.
 
 pub mod cache;
 pub mod flight;
-pub mod loadgen;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
@@ -61,10 +58,6 @@ pub mod solver;
 
 pub use cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
 pub use flight::SingleFlight;
-pub use loadgen::{
-    build_request_pool, run_loadgen, tenant_drift_bases, LoadReport, LoadgenConfig,
-    StageAttribution,
-};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use obs::{AtomicHistogram, HistogramSnapshot, Stage};
 pub use pipeline::{PipelineConfig, PoolHandle, ResponseSink, SolverPool};
@@ -82,7 +75,7 @@ pub use session::{
 pub use solver::{SolveOutput, Solver, SolverRegistry};
 
 /// FNV-1a over raw bytes — the crate's common content hash (interned request
-/// lines, payload fingerprints).
+/// lines).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

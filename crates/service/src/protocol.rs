@@ -479,8 +479,8 @@ fn scan_options_body(line: &str) -> Option<&str> {
 /// Scans `line` for `key` (pass the quoted key plus colon, e.g.
 /// `"\"queue_us\":"`) and parses the non-negative integer that follows
 /// (whitespace tolerated). Returns `None` when absent or malformed. Used by
-/// the executor's deadline scan and by the load generator to scrape trace
-/// fields without a full JSON parse.
+/// the executor's deadline scan and by clients to scrape trace fields
+/// without a full JSON parse.
 #[must_use]
 pub fn scan_u64_field(line: &str, key: &str) -> Option<u64> {
     let at = line.find(key)?;

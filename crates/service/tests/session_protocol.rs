@@ -20,8 +20,8 @@
 //!   connection) evicts its sessions, an expired idle TTL evicts on the next
 //!   session verb, and a full table answers `busy` instead of evicting
 //!   someone else;
-//! * the `stats` verb reports the session counters and revision-latency
-//!   histogram the loadgen and CI grep for.
+//! * the `stats` verb reports the session counters and the revision-latency
+//!   histogram that perfbench's `sessions` workload reads.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;

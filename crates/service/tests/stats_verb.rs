@@ -11,11 +11,13 @@
 //!   towards the `requests` counter;
 //! * the per-stage histogram counts are *exact*: every handled request
 //!   records the parse, solve and render stages exactly once, so their
-//!   counts equal `requests` (the acceptance invariant the loadgen's
-//!   `stats_consistency=` line greps for), and the queue and flush stages
-//!   both count exactly the lines answered before the scrape — requests,
-//!   verbs and garbage alike;
-//! * unknown verbs get a structured `bad_request`, not a hung connection.
+//!   counts equal `requests`, and the queue and flush stages both count
+//!   exactly the lines answered before the scrape — requests, verbs and
+//!   garbage alike;
+//! * unknown verbs get a structured `bad_request`, not a hung connection;
+//! * the same accounting holds under load: a traced, pipelined run on the
+//!   default solver pool traces every response, and its parse, solve and
+//!   render counts equal the requests sent.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -23,9 +25,12 @@ use std::sync::Arc;
 
 use serde::Value;
 use suu_service::{
-    build_request_pool, spawn_tcp, PipelineConfig, SchedulerService, ServiceConfig, SolveOptions,
-    SolverPool, TcpServerConfig,
+    spawn_tcp, PipelineConfig, SchedulerService, ServiceConfig, SolveOptions, SolverPool,
+    TcpServerConfig,
 };
+
+mod common;
+use common::{replay, request_pool};
 
 /// Scheduling requests per run; the first [`TRACED`] opt into tracing.
 const SOLVES: usize = 6;
@@ -39,12 +44,9 @@ const BEFORE_STATS: usize = SOLVES + 2;
 /// first `TRACED` with `options.trace`), an unknown verb, a garbage line,
 /// then the `stats` verb.
 fn corpus() -> Vec<String> {
-    let mut pool = build_request_pool("mixed", SOLVES, 7).expect("scenario exists");
+    let mut pool = request_pool("mixed", SOLVES, 7);
     for request in pool.iter_mut().take(TRACED) {
-        request.options = Some(SolveOptions {
-            trace: true,
-            ..SolveOptions::default()
-        });
+        request.options = Some(traced());
     }
     let mut lines: Vec<String> = pool
         .iter()
@@ -54,6 +56,13 @@ fn corpus() -> Vec<String> {
     lines.push("not json at all".to_string());
     lines.push(format!("{{\"id\":{STATS_ID},\"verb\":\"stats\"}}"));
     lines
+}
+
+fn traced() -> SolveOptions {
+    SolveOptions {
+        trace: true,
+        ..SolveOptions::default()
+    }
 }
 
 /// A single solver thread drains the queue in FIFO order, so the `stats`
@@ -299,4 +308,50 @@ fn stats_and_trace_over_stdin_pipelined() {
 #[test]
 fn stats_and_trace_over_tcp_pipelined() {
     check(&run_tcp(), "tcp");
+}
+
+/// 200 traced `mixed` requests from 2 connections with 32 in flight each, on
+/// the default solver pool, then a `stats` scrape on a fresh connection.
+#[test]
+fn traced_pipelined_run_attributes_every_request() {
+    const REQUESTS: usize = 200;
+    let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
+    let handle = spawn_tcp(service, &TcpServerConfig::default()).unwrap();
+    let lines: Vec<String> = request_pool("mixed", REQUESTS, 0x10AD)
+        .into_iter()
+        .map(|mut request| {
+            request.options = Some(traced());
+            serde_json::to_string(&request).expect("requests serialise")
+        })
+        .collect();
+    let (responses, _) = replay(handle.addr(), &lines, 2, 32);
+    assert_eq!(responses.len(), REQUESTS);
+    for (id, resp) in response_by_id(&responses) {
+        assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "response {id}");
+        assert!(resp.get("trace").is_some(), "response {id} missing trace");
+    }
+
+    let stats_line = format!("{{\"id\":{STATS_ID},\"verb\":\"stats\"}}");
+    let (scrape, _) = replay(handle.addr(), &[stats_line], 1, 1);
+    handle.shutdown();
+    let stats = response_by_id(&scrape)[&STATS_ID]
+        .get("stats")
+        .cloned()
+        .expect("stats object");
+    assert_eq!(number(&stats, &["requests"]) as usize, REQUESTS);
+    for stage in ["parse", "solve", "render"] {
+        assert_eq!(
+            number(&stats, &["stages", stage, "count"]) as usize,
+            REQUESTS,
+            "stage `{stage}` count must equal the requests sent"
+        );
+    }
+    // Queue and flush are recorded after a response is written, so the
+    // scrape may race the last few; it cannot miss them all.
+    for stage in ["queue", "flush"] {
+        assert!(
+            number(&stats, &["stages", stage, "count"]) > 0.0,
+            "stage `{stage}` recorded no samples"
+        );
+    }
 }

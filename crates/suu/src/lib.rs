@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use suu_graph::{ChainDecomposition, ChainSet, Dag, ForestKind};
     pub use suu_service::{
-        run_loadgen, spawn_tcp, LoadgenConfig, Request, Response, SchedulerService, ServiceConfig,
-        Solver, SolverRegistry, TcpServerConfig,
+        spawn_tcp, Request, Response, SchedulerService, ServiceConfig, Solver, SolverRegistry,
+        TcpServerConfig,
     };
     pub use suu_sim::{
         exact_expected_makespan_oblivious_cyclic, exact_expected_makespan_regimen, simulate_once,
