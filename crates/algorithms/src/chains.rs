@@ -20,9 +20,7 @@ use suu_graph::ChainSet;
 
 use crate::delay::flatten_with_random_delays;
 use crate::error::AlgorithmError;
-use crate::lp_relaxation::{
-    solve_lp1_warm, solve_lp1_with, FractionalSolution, LpBudget, LpMicros, LpWarmInfo,
-};
+use crate::lp_relaxation::{solve_lp1_warm, LpBudget, LpMicros, LpWarmInfo, WarmStart};
 use crate::pseudo::build_chain_pseudo_schedules;
 use crate::replicate::{default_sigma, replicate_with_tail};
 use crate::rounding::round_solution;
@@ -40,8 +38,8 @@ pub struct ChainsOptions {
     /// `Σ_{o,1}` itself (used by the forest algorithm, which replicates once
     /// globally, and by ablation experiments).
     pub replicate: bool,
-    /// Resource bounds on the (LP1) stage: engine override, pivot budget and
-    /// wall-clock deadline. The default is unbounded (historical behaviour);
+    /// Resource bounds on the (LP1) stage: pivot budget and wall-clock
+    /// deadline. The default is unbounded (historical behaviour);
     /// exhausting a bound aborts with [`AlgorithmError::BudgetExhausted`].
     pub lp: LpBudget,
 }
@@ -102,11 +100,18 @@ pub fn schedule_chains_with(
     options: &ChainsOptions,
 ) -> Result<ChainsSchedule, AlgorithmError> {
     let chains = ChainSet::from_dag(instance.precedence()).ok_or(AlgorithmError::NotChains)?;
-    schedule_given_chains(instance, &chains, options)
+    schedule_given_chains(instance, &chains, options, None).map(|(schedule, _)| schedule)
 }
 
-/// Runs the pipeline for a caller-provided chain partition (used by the forest
-/// algorithm, which feeds in one block of the chain decomposition at a time).
+/// Runs the pipeline for a caller-provided chain partition (the forest
+/// algorithm feeds in one block of the chain decomposition at a time).
+///
+/// `warm` is the donor basis and LU factors of a structurally similar
+/// parent solve, or `None` to solve cold; the (LP1) solve's final basis and
+/// factors come back as the donor for the next solve. Everything after the
+/// LP stage depends on the donor only through the optimum it reaches: warm
+/// starts change how fast the LP gets there, never which optimum the
+/// rounding pipeline consumes.
 ///
 /// # Errors
 ///
@@ -115,44 +120,10 @@ pub fn schedule_given_chains(
     instance: &SuuInstance,
     chains: &ChainSet,
     options: &ChainsOptions,
-) -> Result<ChainsSchedule, AlgorithmError> {
-    let frac = solve_lp1_with(instance, chains, &options.lp)?;
-    assemble_schedule(instance, chains, options, &frac)
-}
-
-/// [`schedule_given_chains`] with warm-start threading: the donor basis and
-/// LU factors (from a structurally similar parent solve) seed the (LP1)
-/// solve, and the final basis + factors come back for the next request in
-/// the tenant's drift chain. Pass `None` to solve cold while still capturing
-/// a basis.
-///
-/// Everything after the LP stage is byte-identical to
-/// [`schedule_given_chains`]: warm starts change how fast the LP reaches the
-/// optimum, never which optimum the rounding pipeline consumes.
-///
-/// # Errors
-///
-/// See [`schedule_given_chains`].
-pub fn schedule_given_chains_warm(
-    instance: &SuuInstance,
-    chains: &ChainSet,
-    options: &ChainsOptions,
-    warm: Option<suu_lp::WarmStart>,
+    warm: Option<WarmStart>,
 ) -> Result<(ChainsSchedule, LpWarmInfo), AlgorithmError> {
     let (frac, info) = solve_lp1_warm(instance, chains, &options.lp, warm)?;
-    let schedule = assemble_schedule(instance, chains, options, &frac)?;
-    Ok((schedule, info))
-}
-
-/// Stages 2–5 of the pipeline (rounding through replication), shared by the
-/// cold and warm entry points.
-fn assemble_schedule(
-    instance: &SuuInstance,
-    chains: &ChainSet,
-    options: &ChainsOptions,
-    frac: &FractionalSolution,
-) -> Result<ChainsSchedule, AlgorithmError> {
-    let rounded = round_solution(instance, frac)?;
+    let rounded = round_solution(instance, &frac)?;
     let per_chain = build_chain_pseudo_schedules(instance, chains, &rounded);
     let outcome = flatten_with_random_delays(
         &per_chain,
@@ -174,7 +145,7 @@ fn assemble_schedule(
         outcome.schedule.clone()
     };
 
-    Ok(ChainsSchedule {
+    let schedule = ChainsSchedule {
         schedule,
         constant_mass_schedule: outcome.schedule,
         lp_value: frac.t,
@@ -184,7 +155,8 @@ fn assemble_schedule(
         rounded_max_load: rounded.max_load(),
         congestion: outcome.congestion,
         sigma,
-    })
+    };
+    Ok((schedule, info))
 }
 
 #[cfg(test)]

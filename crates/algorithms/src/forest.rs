@@ -196,8 +196,8 @@ fn solve_block(
         }
         block_options.lp.max_pivots = Some(remaining);
     }
-    let block = match schedule_given_chains(&sub_instance, chain_set, &block_options) {
-        Ok(block) => block,
+    let block = match schedule_given_chains(&sub_instance, chain_set, &block_options, None) {
+        Ok((block, _)) => block,
         Err(AlgorithmError::BudgetExhausted { pivots, wall_clock }) => {
             return Err(AlgorithmError::BudgetExhausted {
                 pivots: pivots + already_spent,

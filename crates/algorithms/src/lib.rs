@@ -39,7 +39,7 @@ pub mod rounding;
 pub mod suu_i;
 pub mod suu_i_obl;
 
-pub use chains::{schedule_chains, schedule_given_chains_warm, ChainsSchedule};
+pub use chains::{schedule_chains, schedule_given_chains, ChainsSchedule};
 pub use error::AlgorithmError;
 pub use forest::{schedule_forest, ForestSchedule};
 pub use independent_lp::schedule_independent_lp;

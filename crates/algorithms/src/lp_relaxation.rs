@@ -24,10 +24,11 @@ use std::time::Instant;
 
 use suu_core::{JobId, MachineId, SuuInstance};
 use suu_graph::ChainSet;
+pub use suu_lp::WarmStart;
 use suu_lp::{
-    solve, solve_warm, ConstraintOp, Engine, LpProblem, LpStatus, Sense, SimplexOptions, VarId,
+    solve_warm, ConstraintOp, Engine, LpProblem, LpStatus, Sense, SimplexOptions, VarId,
+    WarmOutcome,
 };
-pub use suu_lp::{LuFactors, WarmStart};
 
 use crate::error::AlgorithmError;
 
@@ -35,16 +36,14 @@ use crate::error::AlgorithmError;
 pub const LP_MASS_TARGET: f64 = 0.5;
 
 /// Caller-supplied resource bounds on the LP stage of a pipeline: how many
-/// pivots it may spend and an absolute wall-clock deadline, plus an engine
-/// override for tests. The default (revised simplex, unbounded, no
-/// deadline) is the production configuration; a budget that is not
-/// exhausted never changes the result (the pivot sequence is deterministic).
+/// pivots it may spend and an absolute wall-clock deadline. The default
+/// (unbounded, no deadline) is the production configuration; a budget that
+/// is not exhausted never changes the result (the pivot sequence is
+/// deterministic).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LpBudget {
-    /// Simplex engine of the basis-free solves ([`solve_lp1_with`],
-    /// [`solve_lp2_with`]): `Auto` and `Revised` run the revised simplex,
-    /// `Dense` forces the dense tableau. [`solve_lp1_warm`] always runs the
-    /// revised simplex, the engine that captures and consumes bases.
+    /// Inert: every solve runs the one revised simplex whatever this says.
+    /// The field stays because the `perfbench` benchmark builds against it.
     pub engine: Engine,
     /// Pivot budget across both simplex phases; exhausting it aborts the
     /// pipeline with [`AlgorithmError::BudgetExhausted`].
@@ -58,7 +57,6 @@ impl LpBudget {
     #[must_use]
     pub fn simplex_options(&self) -> SimplexOptions {
         SimplexOptions {
-            engine: self.engine,
             pivot_budget: self.max_pivots,
             deadline: self.deadline,
             ..SimplexOptions::default()
@@ -139,11 +137,10 @@ pub fn solve_lp1(
     instance: &SuuInstance,
     chains: &ChainSet,
 ) -> Result<FractionalSolution, AlgorithmError> {
-    build_and_solve(instance, Some(chains), &LpBudget::default())
+    solve_lp1_with(instance, chains, &LpBudget::default())
 }
 
-/// [`solve_lp1`] under an explicit [`LpBudget`] (engine override, pivot
-/// budget, deadline).
+/// [`solve_lp1`] under an explicit [`LpBudget`] (pivot budget, deadline).
 ///
 /// # Errors
 ///
@@ -154,7 +151,7 @@ pub fn solve_lp1_with(
     chains: &ChainSet,
     budget: &LpBudget,
 ) -> Result<FractionalSolution, AlgorithmError> {
-    build_and_solve(instance, Some(chains), budget)
+    solve_lp1_warm(instance, chains, budget, None).map(|(frac, _)| frac)
 }
 
 /// Warm-start information flowing alongside a fractional solution.
@@ -163,25 +160,18 @@ pub struct LpWarmInfo {
     /// `true` when a donor basis was supplied and actually drove the solve
     /// (the warm primal or dual-simplex path produced the solution).
     pub warm: bool,
-    /// Final-basis snapshot for warm-starting a structurally similar solve.
-    /// Empty when the solve did not end at a reusable (optimal,
-    /// artificial-free) basis, which includes a numerical breakdown handed
-    /// to the dense fallback.
-    pub basis: Vec<usize>,
-    /// LU factors of that final basis. A follow-up solve whose edit leaves
-    /// the basis matrix untouched (the edited column is nonbasic) adopts
-    /// them outright and skips refactorisation entirely.
-    pub factors: Option<LuFactors>,
+    /// The solve's final basis and its LU factors, the donor for a
+    /// structurally similar solve. `None` when the solve did not end at a
+    /// reusable (optimal, artificial-free) basis, which includes a numerical
+    /// breakdown handed to the dense fallback.
+    pub donor: Option<WarmStart>,
 }
 
 /// [`solve_lp1_with`] plus warm-start threading: feed the donor [`WarmStart`]
 /// (basis and, when available, LU factors) from a structurally similar
 /// parent solve (or `None` to solve cold) and get the final basis + factors
-/// back for the next request in the tenant's drift chain.
-///
-/// Always runs the revised simplex ([`solve_warm`]), whatever
-/// [`LpBudget::engine`] says. A cold call captures a basis at every problem
-/// size and pivots exactly as the default basis-free solve does.
+/// back for the next request in the tenant's drift chain. A cold call is
+/// [`solve_lp1_with`] exactly, pivot for pivot.
 ///
 /// # Errors
 ///
@@ -192,7 +182,7 @@ pub fn solve_lp1_warm(
     budget: &LpBudget,
     warm: Option<WarmStart>,
 ) -> Result<(FractionalSolution, LpWarmInfo), AlgorithmError> {
-    build_and_solve_tracked(instance, Some(chains), budget, warm, true)
+    build_and_solve(instance, Some(chains), budget, warm)
 }
 
 /// Builds and solves (LP2) for an independent-jobs instance.
@@ -201,20 +191,7 @@ pub fn solve_lp1_warm(
 ///
 /// Returns [`AlgorithmError::LpFailure`] on solver failure.
 pub fn solve_lp2(instance: &SuuInstance) -> Result<FractionalSolution, AlgorithmError> {
-    build_and_solve(instance, None, &LpBudget::default())
-}
-
-/// [`solve_lp2`] under an explicit [`LpBudget`].
-///
-/// # Errors
-///
-/// Additionally returns [`AlgorithmError::BudgetExhausted`] when the budget
-/// runs out mid-solve.
-pub fn solve_lp2_with(
-    instance: &SuuInstance,
-    budget: &LpBudget,
-) -> Result<FractionalSolution, AlgorithmError> {
-    build_and_solve(instance, None, budget)
+    build_and_solve(instance, None, &LpBudget::default(), None).map(|(frac, _)| frac)
 }
 
 /// Builds the (LP1)/(LP2) problem for `instance`, emitting every row straight
@@ -293,39 +270,28 @@ pub fn build_relaxation(
     (lp, x_var, d_var, t_var)
 }
 
+/// Builds (LP1) (or (LP2) without `chains`) and solves it from `warm`, or
+/// cold without a donor, handing back the final basis as the next donor.
 fn build_and_solve(
     instance: &SuuInstance,
     chains: Option<&ChainSet>,
     budget: &LpBudget,
-) -> Result<FractionalSolution, AlgorithmError> {
-    build_and_solve_tracked(instance, chains, budget, None, false).map(|(frac, _)| frac)
-}
-
-fn build_and_solve_tracked(
-    instance: &SuuInstance,
-    chains: Option<&ChainSet>,
-    budget: &LpBudget,
     warm: Option<WarmStart>,
-    capture: bool,
 ) -> Result<(FractionalSolution, LpWarmInfo), AlgorithmError> {
     let start = Instant::now();
     let n = instance.num_jobs();
     let m = instance.num_machines();
     let (lp, x_var, d_var, t_var) = build_relaxation(instance, chains);
 
-    let options = budget.simplex_options();
-    let (sol, info) = if capture {
-        let outcome = solve_warm(&lp, warm.unwrap_or_default(), &options)?;
-        (
-            outcome.solution,
-            LpWarmInfo {
-                warm: outcome.warm,
-                basis: outcome.basis,
-                factors: outcome.factors,
-            },
-        )
-    } else {
-        (solve(&lp, &options)?, LpWarmInfo::default())
+    let WarmOutcome {
+        solution: sol,
+        basis,
+        factors,
+        warm: warm_used,
+    } = solve_warm(&lp, warm.unwrap_or_default(), &budget.simplex_options())?;
+    let info = LpWarmInfo {
+        warm: warm_used,
+        donor: (!basis.is_empty()).then_some(WarmStart { basis, factors }),
     };
     if sol.status != LpStatus::Optimal {
         return Err(AlgorithmError::LpFailure(format!(

@@ -7,14 +7,14 @@
 use suu_algorithms::lp_relaxation::build_relaxation;
 use suu_core::{InstanceBuilder, JobId, SuuInstance};
 use suu_graph::{ChainDecomposition, ChainSet};
-use suu_lp::{solve_dense, solve_revised, LpStatus, SimplexOptions};
+use suu_lp::{solve, solve_dense, LpStatus, SimplexOptions};
 use suu_workloads::{random_chains, random_out_forest, sparse_uniform_matrix, uniform_matrix};
 
 fn assert_parity(instance: &SuuInstance, chains: Option<&ChainSet>, label: &str) {
     let (lp, _, _, _) = build_relaxation(instance, chains);
     let options = SimplexOptions::default();
     let dense = solve_dense(&lp, &options).expect("dense solve");
-    let revised = solve_revised(&lp, &options).expect("revised solve");
+    let revised = solve(&lp, &options).expect("revised solve");
     assert_eq!(dense.status, revised.status, "{label}: status mismatch");
     assert_eq!(
         dense.status,

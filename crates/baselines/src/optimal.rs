@@ -1,6 +1,6 @@
 //! Exact optimal regimens by dynamic programming over unfinished-job sets.
 //!
-//! Malewicz [21] observed that an optimal schedule can always be taken to be a
+//! Malewicz \[21\] observed that an optimal schedule can always be taken to be a
 //! *regimen* — the assignment depends only on the set of unfinished jobs — and
 //! that for constant width and constant number of machines the optimal regimen
 //! is computable in polynomial time. This module implements the general

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use suu_algorithms::lp_relaxation::build_relaxation;
 use suu_core::InstanceBuilder;
-use suu_lp::{solve, Engine, LpProblem, LpSolution, LpStatus, SimplexOptions};
+use suu_lp::{solve, solve_dense, LpProblem, LpSolution, LpStatus, SimplexOptions};
 use suu_workloads::sparse_uniform_matrix;
 
 use crate::report::{f2, Table};
@@ -31,16 +31,9 @@ use crate::RunConfig;
 fn timed_pair(lp: &LpProblem, reps: usize) -> ((LpSolution, f64), (LpSolution, f64)) {
     let mut results = [(None, f64::INFINITY), (None, f64::INFINITY)];
     for _ in 0..reps.max(1) {
-        for (engine, slot) in [Engine::Dense, Engine::Revised]
-            .into_iter()
-            .zip(&mut results)
-        {
-            let options = SimplexOptions {
-                engine,
-                ..SimplexOptions::default()
-            };
+        for (engine, slot) in [solve_dense, solve].into_iter().zip(&mut results) {
             let start = Instant::now();
-            let s = solve(lp, &options).expect("LP2 relaxations solve cleanly");
+            let s = engine(lp, &SimplexOptions::default()).expect("LP2 relaxations solve cleanly");
             slot.1 = slot.1.min(start.elapsed().as_secs_f64() * 1e3);
             slot.0 = Some(s);
         }

@@ -316,8 +316,8 @@ impl SuuInstance {
     }
 
     /// The jobs with `p_ij > 0` for `machine`, with their probabilities, in
-    /// increasing job order. Allocation-free like [`positive_probs`]
-    /// (`Self::positive_probs`).
+    /// increasing job order. Allocation-free like
+    /// [`positive_probs`](Self::positive_probs).
     pub fn positive_jobs(&self, machine: MachineId) -> impl Iterator<Item = (JobId, f64)> + '_ {
         let index = self.index();
         index.machine_entries[index.machine_ptr[machine.0]..index.machine_ptr[machine.0 + 1]]

@@ -21,7 +21,7 @@
 //!   partitioned into at most `2(⌈log₂ n⌉ + 1)` blocks, each of which induces
 //!   vertex-disjoint directed chains, with every ancestor of a vertex placed
 //!   in an earlier block or earlier on the same chain.
-//! * [`width`] — the width (maximum antichain) of a DAG via Dilworth's theorem
+//! * [`width`](mod@width) — the width (maximum antichain) of a DAG via Dilworth's theorem
 //!   and minimum path cover, the parameter in which Malewicz characterised the
 //!   complexity of SUU.
 

@@ -8,11 +8,10 @@
 //! termination.
 //!
 //! Per pivot the dense tableau costs O(rows × cols) regardless of sparsity,
-//! so it is the engine of choice only for tiny problems (where the whole
-//! tableau fits in cache and there is no factorisation bookkeeping to
-//! amortise) — see [`crate::engine`] for the selection policy. Beyond that it
-//! serves as the differential-testing oracle for [`crate::revised`]: the two
-//! engines must agree on status and objective on every input.
+//! so no solve path runs it by choice. It is the differential-testing oracle
+//! for [`crate::revised`] (the two engines must agree on status and
+//! objective on every input) and the revised engine's fallback when a solve
+//! breaks down numerically.
 
 use crate::engine::SimplexOptions;
 use crate::model::{ConstraintOp, LpProblem, Sense};

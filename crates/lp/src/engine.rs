@@ -1,22 +1,16 @@
-//! Engine selection: the revised simplex over CSR, or the dense tableau.
+//! The entry point [`solve`], the options every solve shares, and the
+//! shims the benchmark builds against.
 //!
-//! The workspace ships two simplex implementations:
-//!
-//! * [`crate::revised`] — the revised simplex over CSR/CSC sparse structures
-//!   with a sparse LU basis factorisation. Per-pivot cost is proportional to
-//!   the number of non-zeros, not `rows × cols`, and it is the only engine
-//!   that captures and consumes warm-start bases. It solves every production
-//!   LP: [`Engine::Auto`] (the default) and [`Engine::Revised`] both run it,
-//!   at every problem size.
-//! * [`crate::dense`] — the original two-phase dense tableau: every pivot is
-//!   a full pass over the `(rows + 1) × (cols + 1)` tableau. It is the
-//!   differential-testing oracle for the revised engine and the revised
-//!   engine's fallback on numerical breakdown; [`Engine::Dense`] forces it.
-//!
-//! Both engines share [`SimplexOptions`] and the Dantzig-with-Bland-fallback
-//! pivoting discipline.
+//! There is one solve path: [`solve`] is [`crate::revised::solve_warm`]
+//! from an empty donor, so a cold solve and a warm re-solve run the same
+//! code and a cold solve pivots exactly as the warm path does from nothing.
+//! The dense tableau ([`crate::dense::solve_dense`]) is not a second path but
+//! the differential-testing oracle, and the revised engine's fallback when a
+//! solve breaks down numerically. Both share [`SimplexOptions`] and the
+//! Dantzig-with-Bland-fallback pivoting discipline.
 
 use crate::model::{Constraint, ConstraintOp, LpProblem};
+use crate::revised::{solve_warm, WarmStart};
 use crate::solution::{LpError, LpSolution, LpStatus};
 
 /// Standard-form column contribution of one constraint row, as
@@ -35,21 +29,21 @@ pub(crate) fn row_extra_columns(c: &Constraint) -> (bool, bool) {
     (slack, !effective_le)
 }
 
-/// Which simplex implementation to run.
+/// An engine name, kept because the `perfbench` benchmark builds against it
+/// (through `LpBudget::engine`). Both variants name the one revised simplex;
+/// no solve reads the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The default: the revised simplex, exactly as [`Engine::Revised`].
+    /// The default.
     #[default]
     Auto,
-    /// Force the dense two-phase tableau (the test oracle).
-    Dense,
-    /// The revised simplex over CSR.
+    /// The revised simplex over CSR, the same engine as [`Engine::Auto`].
     Revised,
 }
 
-/// Problems of at most this many tableau cells (see [`tableau_cells`]) stay
-/// on the dense engine under [`Engine::Auto`]. Zero: `Auto` runs the revised
-/// simplex at every size. Only the `perfbench` benchmark reads this constant.
+/// The tableau size (see [`tableau_cells`]) up to which a problem would run
+/// on the dense engine: zero, since every solve runs the revised simplex.
+/// Only the `perfbench` benchmark reads this constant.
 pub const DENSE_CELL_THRESHOLD: usize = 0;
 
 /// The exact standard-form tableau size `(rows + 1) × (total columns + 1)`
@@ -69,7 +63,7 @@ pub fn tableau_cells(problem: &LpProblem) -> usize {
     (rows + 1).saturating_mul(problem.num_variables() + extra + 1)
 }
 
-/// Options controlling the simplex solvers (both engines).
+/// Options controlling a solve (the revised simplex and the dense oracle).
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Numerical tolerance for reduced costs, ratio tests and feasibility.
@@ -80,9 +74,6 @@ pub struct SimplexOptions {
     /// Number of consecutive degenerate pivots after which the solver switches
     /// from Dantzig's rule to Bland's anti-cycling rule.
     pub stall_threshold: usize,
-    /// Which engine to run: the revised simplex unless [`Engine::Dense`]
-    /// forces the dense tableau.
-    pub engine: Engine,
     /// Revised engine only: number of eta updates accumulated before the
     /// basis is refactorised from scratch (bounds both numerical drift and
     /// the length of the eta file).
@@ -106,7 +97,6 @@ impl Default for SimplexOptions {
             tolerance: 1e-9,
             max_iterations: None,
             stall_threshold: 64,
-            engine: Engine::Auto,
             refactor_interval: 64,
             pivot_budget: None,
             deadline: None,
@@ -145,18 +135,16 @@ pub(crate) fn budget_check(iterations: usize, options: &SimplexOptions) -> Resul
     Ok(())
 }
 
-/// Solves a linear program with the engine selected by
-/// [`SimplexOptions::engine`].
+/// Solves a linear program: [`solve_warm`] from an empty donor, with the
+/// final basis dropped.
 ///
 /// # Errors
 ///
-/// Returns [`LpError::IterationLimit`] if the pivot budget is exhausted — in
-/// practice a sign of a numerically pathological input.
+/// Returns [`LpError::IterationLimit`] if the internal pivot limit is
+/// reached — in practice a sign of a numerically pathological input — and
+/// [`LpError::BudgetExhausted`] when a caller budget runs out.
 pub fn solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
-    match options.engine {
-        Engine::Dense => crate::dense::solve_dense(problem, options),
-        Engine::Auto | Engine::Revised => crate::revised::solve_revised(problem, options),
-    }
+    solve_warm(problem, WarmStart::default(), options).map(|outcome| outcome.solution)
 }
 
 /// Shared handling of the zero-variable corner case: the all-zero point
@@ -183,10 +171,15 @@ pub(crate) fn solve_empty(problem: &LpProblem, options: &SimplexOptions) -> LpSo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::solve_dense;
     use crate::model::Sense;
 
-    #[test]
-    fn pivot_budget_trips_with_budget_exhausted_on_both_engines() {
+    type SolveFn = fn(&LpProblem, &SimplexOptions) -> Result<LpSolution, LpError>;
+
+    /// The one solve path and the dense oracle, by name.
+    const ENGINES: [(&str, SolveFn); 2] = [("dense", solve_dense), ("revised", solve)];
+
+    fn cover_lp() -> LpProblem {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_variable("x");
         let y = lp.add_variable("y");
@@ -194,11 +187,16 @@ mod tests {
         lp.set_objective_coefficient(y, 3.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        for engine in [Engine::Dense, Engine::Revised] {
+        lp
+    }
+
+    #[test]
+    fn pivot_budget_trips_with_budget_exhausted_on_both_engines() {
+        let lp = cover_lp();
+        for (engine, solve) in ENGINES {
             let err = solve(
                 &lp,
                 &SimplexOptions {
-                    engine,
                     pivot_budget: Some(1),
                     ..SimplexOptions::default()
                 },
@@ -212,7 +210,7 @@ mod tests {
                         wall_clock: false
                     }
                 ),
-                "{engine:?}: {err:?}"
+                "{engine}: {err:?}"
             );
         }
     }
@@ -247,33 +245,19 @@ mod tests {
     fn exact_budget_solves_succeed() {
         // A solve that needs exactly `pivot_budget` pivots is a success:
         // the check fires only when the pricing step wants one more pivot.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_variable("x");
-        let y = lp.add_variable("y");
-        lp.set_objective_coefficient(x, 2.0);
-        lp.set_objective_coefficient(y, 3.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
-        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        for engine in [Engine::Dense, Engine::Revised] {
-            let free = solve(
-                &lp,
-                &SimplexOptions {
-                    engine,
-                    ..SimplexOptions::default()
-                },
-            )
-            .unwrap();
+        let lp = cover_lp();
+        for (engine, solve) in ENGINES {
+            let free = solve(&lp, &SimplexOptions::default()).unwrap();
             assert!(free.iterations > 0);
             let exact = solve(
                 &lp,
                 &SimplexOptions {
-                    engine,
                     pivot_budget: Some(free.iterations),
                     ..SimplexOptions::default()
                 },
             )
             .unwrap();
-            assert_eq!(free, exact, "{engine:?}");
+            assert_eq!(free, exact, "{engine}");
             // A zero-pivot problem succeeds even under a zero budget.
             let mut trivial = LpProblem::new(Sense::Minimize);
             let z = trivial.add_variable("z");
@@ -282,7 +266,6 @@ mod tests {
             let sol = solve(
                 &trivial,
                 &SimplexOptions {
-                    engine,
                     pivot_budget: Some(0),
                     ..SimplexOptions::default()
                 },
@@ -294,33 +277,19 @@ mod tests {
 
     #[test]
     fn sufficient_budget_is_invisible_in_the_result() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_variable("x");
-        let y = lp.add_variable("y");
-        lp.set_objective_coefficient(x, 2.0);
-        lp.set_objective_coefficient(y, 3.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
-        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        for engine in [Engine::Dense, Engine::Revised] {
-            let free = solve(
-                &lp,
-                &SimplexOptions {
-                    engine,
-                    ..SimplexOptions::default()
-                },
-            )
-            .unwrap();
+        let lp = cover_lp();
+        for (engine, solve) in ENGINES {
+            let free = solve(&lp, &SimplexOptions::default()).unwrap();
             let budgeted = solve(
                 &lp,
                 &SimplexOptions {
-                    engine,
                     pivot_budget: Some(10_000),
                     deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(60)),
                     ..SimplexOptions::default()
                 },
             )
             .unwrap();
-            assert_eq!(free, budgeted, "{engine:?}");
+            assert_eq!(free, budgeted, "{engine}");
         }
     }
 
@@ -333,66 +302,36 @@ mod tests {
         easy.set_objective_coefficient(x, 1.0);
         easy.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 3.0, "c");
         // A ≥ row with positive rhs needs an artificial: phase 1 must pivot.
-        let mut hard = LpProblem::new(Sense::Minimize);
-        let u = hard.add_variable("u");
-        let v = hard.add_variable("v");
-        hard.set_objective_coefficient(u, 2.0);
-        hard.set_objective_coefficient(v, 3.0);
-        hard.add_constraint(vec![(u, 1.0), (v, 1.0)], ConstraintOp::Ge, 10.0, "cover");
-        hard.add_constraint(vec![(u, 1.0)], ConstraintOp::Ge, 3.0, "umin");
-        for engine in [Engine::Dense, Engine::Revised] {
-            let opts = SimplexOptions {
-                engine,
-                ..SimplexOptions::default()
-            };
+        let hard = cover_lp();
+        for (engine, solve) in ENGINES {
+            let opts = SimplexOptions::default();
             let sol = solve(&easy, &opts).unwrap();
-            assert_eq!(sol.phase1_iterations, 0, "{engine:?}");
-            assert!(sol.iterations >= 1, "{engine:?}");
+            assert_eq!(sol.phase1_iterations, 0, "{engine}");
+            assert!(sol.iterations >= 1, "{engine}");
             let sol = solve(&hard, &opts).unwrap();
-            assert!(sol.phase1_iterations >= 1, "{engine:?}");
-            assert!(sol.phase1_iterations <= sol.iterations, "{engine:?}");
+            assert!(sol.phase1_iterations >= 1, "{engine}");
+            assert!(sol.phase1_iterations <= sol.iterations, "{engine}");
         }
     }
 
     #[test]
     fn auto_runs_the_revised_engine_even_on_tiny_problems() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_variable("x");
-        let y = lp.add_variable("y");
-        lp.set_objective_coefficient(x, 2.0);
-        lp.set_objective_coefficient(y, 3.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
-        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        let auto = solve(&lp, &SimplexOptions::default()).unwrap();
-        let revised = crate::revised::solve_revised(&lp, &SimplexOptions::default()).unwrap();
-        assert_eq!(auto, revised);
+        let lp = cover_lp();
+        let plain = solve(&lp, &SimplexOptions::default()).unwrap();
+        let captured =
+            crate::revised::solve_revised_with_basis(&lp, &SimplexOptions::default()).unwrap();
+        assert_eq!(plain, captured.solution);
+        assert!(
+            !captured.basis.is_empty(),
+            "the revised engine captures a basis"
+        );
     }
 
     #[test]
     fn forced_engines_agree_on_a_small_problem() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_variable("x");
-        let y = lp.add_variable("y");
-        lp.set_objective_coefficient(x, 2.0);
-        lp.set_objective_coefficient(y, 3.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
-        lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        let dense = solve(
-            &lp,
-            &SimplexOptions {
-                engine: Engine::Dense,
-                ..SimplexOptions::default()
-            },
-        )
-        .unwrap();
-        let revised = solve(
-            &lp,
-            &SimplexOptions {
-                engine: Engine::Revised,
-                ..SimplexOptions::default()
-            },
-        )
-        .unwrap();
+        let lp = cover_lp();
+        let dense = solve_dense(&lp, &SimplexOptions::default()).unwrap();
+        let revised = solve(&lp, &SimplexOptions::default()).unwrap();
         assert_eq!(dense.status, revised.status);
         assert!((dense.objective - revised.objective).abs() < 1e-6);
     }

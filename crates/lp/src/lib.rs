@@ -19,14 +19,14 @@
 //!   refactorisation triggered by update count or fill-in growth.
 //! * [`revised`] — the revised simplex over CSR/CSC on top of those factors,
 //!   with devex reference-framework pricing fed by a partial candidate list;
-//!   per-pivot cost scales with the non-zeros instead of `rows × cols`. It
-//!   solves every production LP, and its warm-start entry point
-//!   [`solve_warm`] re-solves from a previous solve's basis.
-//! * [`dense`] — the original two-phase dense-tableau simplex: the
-//!   differential-testing oracle, and the revised engine's fallback when a
-//!   solve breaks down numerically.
-//! * [`engine::solve`] — the single entry point: runs the revised simplex
-//!   unless [`SimplexOptions::engine`] forces [`Engine::Dense`].
+//!   per-pivot cost scales with the non-zeros instead of `rows × cols`.
+//! * [`solve_warm`] — the one solve path: it re-solves from a previous
+//!   solve's basis ([`WarmStart`]) when the donor fits, and a cold solve is
+//!   the same call from an empty donor. [`solve`] is exactly that, with the
+//!   final basis dropped.
+//! * [`dense`] — the original two-phase dense-tableau simplex
+//!   ([`solve_dense`]): the differential-testing oracle, and the revised
+//!   engine's fallback when a solve breaks down numerically.
 //!
 //! Degenerate stretches switch either engine to Bland's anti-cycling rule
 //! (dense prices with Dantzig's rule throughout), and both engines return
@@ -47,6 +47,6 @@ pub use dense::solve_dense;
 pub use engine::{solve, Engine, SimplexOptions};
 pub use lu::{LuFactors, LuWorkspace};
 pub use model::{ConstraintOp, LpProblem, Sense, VarId};
-pub use revised::{solve_revised, solve_revised_with_basis, solve_warm, WarmOutcome, WarmStart};
+pub use revised::{solve_revised_with_basis, solve_warm, WarmOutcome, WarmStart};
 pub use solution::{LpError, LpSolution, LpStatus};
 pub use sparse::CsrMatrix;

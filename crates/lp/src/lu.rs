@@ -44,9 +44,9 @@
 //! are removed by `swap_remove` within the slot. Entry order is therefore
 //! exactly what per-row vectors would hold, and every FTRAN/BTRAN sums in
 //! the same order. [`LuFactors::compact`] repacks the slots without
-//! spare room, so a captured warm-start donor holds only its live entries,
-//! and cloning one costs a few allocations and a memcpy however large the
-//! basis is.
+//! spare room; a caller that keeps the factors as a warm-start donor
+//! compacts them once, so the donor holds only its live entries and cloning
+//! it costs a few allocations and a memcpy however large the basis is.
 //!
 //! All scratch state (dense work vectors, the retained FTRAN spike, the
 //! factorisation's working columns, candidate buckets) lives in a separate
@@ -467,7 +467,8 @@ impl LuFactors {
 
     /// Whether the factors should be rebuilt: either `max_updates`
     /// Forrest–Tomlin updates have accumulated, or fill-in has grown past
-    /// [`FILL_REFACTOR_FACTOR`]× the freshly factorised non-zero count.
+    /// four times (`FILL_REFACTOR_FACTOR`) the freshly factorised non-zero
+    /// count.
     #[must_use]
     pub fn needs_refactor(&self, max_updates: usize) -> bool {
         self.updates_since_refactor >= max_updates

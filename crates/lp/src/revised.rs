@@ -107,27 +107,6 @@ const CRASH_STABILITY_RATIO: f64 = 0.01;
 /// list already tracks.
 const PRICE_WINDOW_DIVISOR: usize = 4;
 
-/// Solves a linear program with the revised simplex method.
-///
-/// # Errors
-///
-/// Returns [`LpError::IterationLimit`] if the pivot budget is exhausted — in
-/// practice a sign of a numerically pathological input.
-pub fn solve_revised(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, LpError> {
-    if problem.num_variables() == 0 {
-        return Ok(crate::engine::solve_empty(problem, options));
-    }
-    match try_solve(problem, options) {
-        Ok(solution) => Ok(solution),
-        Err(Trouble::IterationLimit { limit }) => Err(LpError::IterationLimit { limit }),
-        // A caller budget running out is a *verdict*, not numerical trouble:
-        // falling back to the dense oracle would burn the very work the
-        // budget was meant to bound, so it propagates directly.
-        Err(Trouble::Budget(err)) => Err(err),
-        Err(Trouble::Numerical { spent }) => oracle_fallback(problem, options, spent),
-    }
-}
-
 /// Singular refactorisation or a failed final check: hand the problem to the
 /// dense oracle rather than returning a wrong answer. The pivots burnt before
 /// the fallback still happened — account for them so `iterations` (surfaced
@@ -167,7 +146,7 @@ fn oracle_fallback(
 /// on the donor problem at all. [`solve_warm`] validates the basis against
 /// the *new* problem (length, no artificials, no duplicates, nonsingular) and
 /// falls back to a cold two-phase solve when it does not fit.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Standard-form basis column indices (structural `0..n`, then slacks),
     /// one per constraint row.
@@ -179,18 +158,19 @@ pub struct WarmStart {
     pub factors: Option<LuFactors>,
 }
 
-/// Result of a basis-capturing solve ([`solve_warm`] /
+/// Result of a solve ([`solve_warm`], and through it [`crate::solve`] and
 /// [`solve_revised_with_basis`]).
 #[derive(Debug)]
 pub struct WarmOutcome {
-    /// The solution, exactly as [`solve_revised`] would report it.
+    /// The solution.
     pub solution: LpSolution,
     /// Final basis snapshot for warm-starting a later solve; empty when the
     /// solve did not end at an optimal artificial-free basis (non-optimal
     /// status, or the dense-oracle fallback ran).
     pub basis: Vec<usize>,
-    /// LU factors of that final basis, compacted
-    /// ([`LuFactors::compact`]), when available.
+    /// LU factors of that final basis, when available, as the last pivot
+    /// left them. A caller that keeps them as a donor compacts them first
+    /// ([`LuFactors::compact`]); one that drops them pays nothing for that.
     pub factors: Option<LuFactors>,
     /// `true` when the supplied warm basis was actually used (the warm primal
     /// or dual path produced the solution); `false` on every cold path.
@@ -212,13 +192,12 @@ impl WarmOutcome {
     }
 }
 
-/// [`solve_revised`] plus a final-basis snapshot, for callers that feed a
-/// warm-start index: [`solve_warm`] from an empty donor. Identical
-/// pivot-for-pivot to [`solve_revised`].
+/// The cold solve with its final basis: [`solve_warm`] from an empty donor.
+/// The name is kept for the `perfbench` benchmark.
 ///
 /// # Errors
 ///
-/// Same contract as [`solve_revised`].
+/// Same contract as [`solve_warm`].
 pub fn solve_revised_with_basis(
     problem: &LpProblem,
     options: &SimplexOptions,
@@ -226,9 +205,14 @@ pub fn solve_revised_with_basis(
     solve_warm(problem, WarmStart::default(), options)
 }
 
-/// Solves a linear program starting from a warm basis.
+/// Solves a linear program, starting from a warm basis when the donor fits.
+/// This is the one solve path: a cold solve is this function from an empty
+/// donor ([`WarmStart::default`]).
 ///
-/// The warm basis is validated against the new problem and installed; then:
+/// A donor whose basis is empty or does not have one entry per constraint
+/// row cannot fit, so it goes straight to the cold two-phase solve from the
+/// crash basis (reporting `warm: false`). Otherwise the warm basis is
+/// validated against the new problem and installed; then:
 ///
 /// * **primal feasible** (`x_B ≥ 0`) — straight to primal phase 2 (the common
 ///   case after a cost-only change);
@@ -236,20 +220,18 @@ pub fn solve_revised_with_basis(
 ///   until primal feasibility, then primal cleanup (the common case after a
 ///   rhs/bound change: the parent's optimal basis is primal-infeasible but
 ///   still dual-feasible);
-/// * **neither** — cold two-phase solve from the crash basis, exactly as
-///   [`solve_revised`] would run it.
-///
-/// A donor whose basis is empty or does not have one entry per constraint
-/// row cannot fit, so it goes straight to the cold solve (reporting
-/// `warm: false`) without building the solver twice.
+/// * **neither** — the cold two-phase solve from the crash basis.
 ///
 /// Every path runs under the same pivot/deadline budgets and keeps the
 /// pivots-as-clock determinism contract: the same problem plus the same warm
-/// start replays bit-identically.
+/// start replays bit-identically. A numerical breakdown on any path hands
+/// the problem to the dense oracle, which yields no basis snapshot.
 ///
 /// # Errors
 ///
-/// Same contract as [`solve_revised`].
+/// Returns [`LpError::IterationLimit`] if the internal pivot limit is
+/// reached — in practice a sign of a numerically pathological input — and
+/// [`LpError::BudgetExhausted`] when a caller budget runs out.
 pub fn solve_warm(
     problem: &LpProblem,
     warm: WarmStart,
@@ -264,23 +246,16 @@ pub fn solve_warm(
         });
     }
     let result = if warm.basis.is_empty() || warm.basis.len() != problem.num_constraints() {
-        try_solve_capture(problem, options)
+        try_solve_cold(problem, options)
     } else {
         try_solve_warm(problem, warm, options)
     };
-    finish_outcome(result, problem, options)
-}
-
-/// Maps internal [`Trouble`] to the public error surface, routing numerical
-/// breakdown through the dense oracle (which yields no basis snapshot).
-fn finish_outcome(
-    result: Result<WarmOutcome, Trouble>,
-    problem: &LpProblem,
-    options: &SimplexOptions,
-) -> Result<WarmOutcome, LpError> {
     match result {
         Ok(outcome) => Ok(outcome),
         Err(Trouble::IterationLimit { limit }) => Err(LpError::IterationLimit { limit }),
+        // A caller budget running out is a *verdict*, not numerical trouble:
+        // falling back to the dense oracle would burn the very work the
+        // budget was meant to bound, so it propagates directly.
         Err(Trouble::Budget(err)) => Err(err),
         Err(Trouble::Numerical { spent }) => {
             oracle_fallback(problem, options, spent).map(|solution| WarmOutcome {
@@ -308,30 +283,18 @@ enum Trouble {
     },
 }
 
-fn try_solve(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSolution, Trouble> {
-    let mut solver = Revised::build(problem, options);
-    solver.refactorize()?;
-    run_two_phase(&mut solver, problem, options)
-}
-
-/// Cold solve that also snapshots the final basis for warm-start reuse.
-/// Pivot-for-pivot identical to [`try_solve`]; only the packaging differs.
-fn try_solve_capture(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-) -> Result<WarmOutcome, Trouble> {
+/// Cold two-phase solve from the crash basis, snapshotting the final basis.
+fn try_solve_cold(problem: &LpProblem, options: &SimplexOptions) -> Result<WarmOutcome, Trouble> {
     let mut solver = Revised::build(problem, options);
     solver.refactorize()?;
     let solution = run_two_phase(&mut solver, problem, options)?;
     Ok(capture_outcome(solver, solution, false))
 }
 
-/// Packages a finished solve, moving out the basis and the compacted LU
-/// factors when — and only when — it ended at an optimal, artificial-free
-/// vertex. Any other terminal state has nothing worth inheriting.
-/// Compaction drops the slack and dead space update-time row moves leave in
-/// the factor arenas, so a donor kept in a warm-start index holds only live
-/// entries and every later clone of it is a memcpy of those.
+/// Packages a finished solve, moving out the basis and the LU factors when
+/// — and only when — it ended at an optimal, artificial-free vertex. Any
+/// other terminal state has nothing worth inheriting. Moving costs nothing;
+/// compacting the factors is left to the caller that keeps them.
 fn capture_outcome(solver: Revised, solution: LpSolution, warm: bool) -> WarmOutcome {
     let reusable =
         solution.status == LpStatus::Optimal && solver.basis.iter().all(|&c| c < solver.num_real);
@@ -343,13 +306,10 @@ fn capture_outcome(solver: Revised, solution: LpSolution, warm: bool) -> WarmOut
             warm,
         };
     }
-    let mut factors = solver.factors;
-    factors.compact();
-    let basis = solver.basis;
     WarmOutcome {
         solution,
-        basis,
-        factors: Some(factors),
+        basis: solver.basis,
+        factors: Some(solver.factors),
         warm,
     }
 }
@@ -357,7 +317,7 @@ fn capture_outcome(solver: Revised, solution: LpSolution, warm: bool) -> WarmOut
 /// Warm-started solve: install the donor basis, then dispatch on what it
 /// still is for the mutated problem — primal feasible (straight to phase 2),
 /// dual feasible (dual simplex, then primal cleanup), or neither (cold
-/// two-phase, exactly as [`try_solve_capture`]).
+/// two-phase, exactly as [`try_solve_cold`]).
 fn try_solve_warm(
     problem: &LpProblem,
     warm: WarmStart,
@@ -366,7 +326,7 @@ fn try_solve_warm(
     let n = problem.num_variables();
     let mut solver = Revised::build(problem, options);
     if !solver.try_install_warm(warm) {
-        return try_solve_capture(problem, options);
+        return try_solve_cold(problem, options);
     }
     let limit = options
         .max_iterations
@@ -384,7 +344,7 @@ fn try_solve_warm(
         if !dual_feasible {
             // The donor vertex is neither primal- nor dual-feasible here:
             // nothing to inherit, run the cold two-phase from the crash basis.
-            return try_solve_capture(problem, options);
+            return try_solve_cold(problem, options);
         }
         match solver.dual_optimize(options, limit)? {
             DualOutcome::PrimalFeasible => {}
@@ -1574,6 +1534,7 @@ impl Revised {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::solve;
     use crate::model::{ConstraintOp, LpProblem, Sense, VarId};
     use crate::solution::LpStatus;
 
@@ -1595,7 +1556,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 4.0, "c1");
         lp.add_constraint(vec![(y, 2.0)], ConstraintOp::Le, 12.0, "c2");
         lp.add_constraint(vec![(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0, "c3");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 36.0);
         assert_close(sol.value(x), 2.0);
@@ -1611,7 +1572,7 @@ mod tests {
         lp.set_objective_coefficient(y, 3.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 10.0, "cover");
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "xmin");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 20.0);
         assert!(lp.is_feasible(&sol.values, 1e-7));
@@ -1626,7 +1587,7 @@ mod tests {
         lp.set_objective_coefficient(y, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 2.0)], ConstraintOp::Eq, 4.0, "e1");
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], ConstraintOp::Eq, 1.0, "e2");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.value(x), 2.0);
         assert_close(sol.value(y), 1.0);
@@ -1639,7 +1600,7 @@ mod tests {
         lp.set_objective_coefficient(x, 1.0);
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 1.0, "le");
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 3.0, "ge");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
 
@@ -1649,7 +1610,7 @@ mod tests {
         let x = lp.add_variable("x");
         lp.set_objective_coefficient(x, 1.0);
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 1.0, "lb");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Unbounded);
     }
 
@@ -1661,7 +1622,7 @@ mod tests {
         lp.set_objective_coefficient(x, 1.0);
         lp.set_objective_coefficient(y, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], ConstraintOp::Le, -2.0, "c");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 2.0);
     }
@@ -1677,7 +1638,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 1.0, "c2");
         lp.add_constraint(vec![(y, 1.0)], ConstraintOp::Le, 1.0, "c3");
         lp.add_constraint(vec![(x, 2.0), (y, 1.0)], ConstraintOp::Le, 2.0, "c4");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 1.0);
     }
@@ -1705,8 +1666,8 @@ mod tests {
             30.0,
             "budget",
         );
-        let baseline = solve_revised(&lp, &opts()).unwrap();
-        let churned = solve_revised(
+        let baseline = solve(&lp, &opts()).unwrap();
+        let churned = solve(
             &lp,
             &SimplexOptions {
                 refactor_interval: 2,
@@ -1729,7 +1690,7 @@ mod tests {
         lp.set_objective_coefficient(x, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], ConstraintOp::Eq, 0.0, "tie");
         lp.add_constraint(vec![(y, 1.0)], ConstraintOp::Ge, 2.0, "lb");
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.value(x), 2.0);
     }
@@ -1743,7 +1704,7 @@ mod tests {
         lp.set_objective_coefficient(y, 5.0);
         lp.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 4.0, "c1");
         lp.add_constraint(vec![(y, 2.0)], ConstraintOp::Le, 12.0, "c2");
-        let err = solve_revised(
+        let err = solve(
             &lp,
             &SimplexOptions {
                 max_iterations: Some(1),
@@ -1757,7 +1718,7 @@ mod tests {
     #[test]
     fn zero_variable_problem() {
         let lp = LpProblem::new(Sense::Minimize);
-        let sol = solve_revised(&lp, &opts()).unwrap();
+        let sol = solve(&lp, &opts()).unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
     }
 
@@ -1782,8 +1743,8 @@ mod tests {
                 format!("c{i}"),
             );
         }
-        let a = solve_revised(&lp, &opts()).unwrap();
-        let b = solve_revised(&lp, &opts()).unwrap();
+        let a = solve(&lp, &opts()).unwrap();
+        let b = solve(&lp, &opts()).unwrap();
         assert_eq!(a.status, b.status);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.phase1_iterations, b.phase1_iterations);
@@ -1829,7 +1790,7 @@ mod tests {
         // The donor basis is already optimal: zero pivots, no phase 1.
         assert_eq!(warm.solution.iterations, 0);
         assert_eq!(warm.solution.phase1_iterations, 0);
-        let cold_again = solve_revised(&lp, &opts()).unwrap();
+        let cold_again = solve(&lp, &opts()).unwrap();
         assert!(warm.solution.objective.to_bits() == cold_again.objective.to_bits());
     }
 
@@ -1843,7 +1804,7 @@ mod tests {
         // dual-simplex case.
         let child = covering_lp(1.5);
         let warm = solve_warm(&child, start, &opts()).unwrap();
-        let cold = solve_revised(&child, &opts()).unwrap();
+        let cold = solve(&child, &opts()).unwrap();
         assert!(warm.warm);
         assert_eq!(warm.solution.status, cold.status);
         assert!(
@@ -1882,7 +1843,7 @@ mod tests {
     #[test]
     fn invalid_warm_basis_falls_back_to_cold() {
         let lp = covering_lp(0.0);
-        let cold = solve_revised(&lp, &opts()).unwrap();
+        let cold = solve(&lp, &opts()).unwrap();
         for basis in [
             Vec::new(),                      // wrong length
             vec![0usize; 9],                 // duplicates
@@ -1915,7 +1876,7 @@ mod tests {
         lp.set_objective_coefficient(x, 1.0);
         let outcome = solve_warm(&lp, WarmStart::default(), &opts()).unwrap();
         assert!(!outcome.warm);
-        assert_eq!(outcome.solution, solve_revised(&lp, &opts()).unwrap());
+        assert_eq!(outcome.solution, solve(&lp, &opts()).unwrap());
     }
 
     #[test]
@@ -1936,7 +1897,7 @@ mod tests {
         child.add_constraint(vec![(x, 1.0)], ConstraintOp::Ge, 9.0, "floor");
         let warm = solve_warm(&child, start, &opts()).unwrap();
         assert_eq!(warm.solution.status, LpStatus::Infeasible);
-        let cold = solve_revised(&child, &opts()).unwrap();
+        let cold = solve(&child, &opts()).unwrap();
         assert_eq!(cold.status, LpStatus::Infeasible);
     }
 }

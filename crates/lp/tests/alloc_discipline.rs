@@ -34,7 +34,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use suu_lp::{
-    solve_revised, solve_revised_with_basis, solve_warm, ConstraintOp, LpError, LpProblem, Sense,
+    solve, solve_revised_with_basis, solve_warm, ConstraintOp, LpError, LpProblem, Sense,
     SimplexOptions, VarId, WarmStart,
 };
 
@@ -128,7 +128,7 @@ fn allocs_for_capped_solve(lp: &LpProblem, cap: usize) -> u64 {
         ..SimplexOptions::default()
     };
     let before = alloc_calls();
-    let outcome = solve_revised(lp, &options);
+    let outcome = solve(lp, &options);
     let after = alloc_calls();
     match outcome {
         Err(LpError::IterationLimit { limit }) => assert_eq!(limit, cap),
@@ -184,7 +184,7 @@ fn pivot_loop_performs_no_per_pivot_allocation() {
     // Sanity on the fixture itself: uncapped, the LP solves to optimality
     // (so the capped runs above were genuinely mid-pivot-loop snapshots,
     // not pathological cycling).
-    let full = solve_revised(&lp, &SimplexOptions::default()).expect("uncapped solve");
+    let full = solve(&lp, &SimplexOptions::default()).expect("uncapped solve");
     assert_eq!(full.status, suu_lp::LpStatus::Optimal);
 }
 

@@ -5,14 +5,12 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use suu_lp::{
-    solve_dense, solve_revised, ConstraintOp, LpProblem, LpStatus, Sense, SimplexOptions, VarId,
-};
+use suu_lp::{solve, solve_dense, ConstraintOp, LpProblem, LpStatus, Sense, SimplexOptions, VarId};
 
 fn assert_engines_agree(lp: &LpProblem, label: &str) {
     let options = SimplexOptions::default();
     let dense = solve_dense(lp, &options).expect("dense solve");
-    let revised = solve_revised(lp, &options).expect("revised solve");
+    let revised = solve(lp, &options).expect("revised solve");
     assert_eq!(dense.status, revised.status, "{label}: status mismatch");
     if dense.status == LpStatus::Optimal {
         assert!(
@@ -198,7 +196,7 @@ fn adversarial_options_preserve_parity() {
     for trial in 0..80 {
         let lp = random_lp(&mut rng);
         let dense = solve_dense(&lp, &SimplexOptions::default()).expect("dense solve");
-        let revised = solve_revised(&lp, &harsh).expect("revised solve under harsh options");
+        let revised = solve(&lp, &harsh).expect("revised solve under harsh options");
         assert_eq!(
             dense.status, revised.status,
             "harsh-options trial {trial}: status mismatch"
@@ -217,7 +215,7 @@ fn adversarial_options_preserve_parity() {
         }
         // Determinism under pressure: the same harsh solve, run twice, must
         // be bit-identical (pivots are the clock; options are part of it).
-        let again = solve_revised(&lp, &harsh).expect("repeat solve");
+        let again = solve(&lp, &harsh).expect("repeat solve");
         assert_eq!(revised.status, again.status, "trial {trial}: repeat status");
         assert_eq!(
             revised.objective.to_bits(),

@@ -15,7 +15,7 @@
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use suu_lp::{
-    solve_revised, solve_revised_with_basis, solve_warm, ConstraintOp, LpProblem, LpStatus, Sense,
+    solve, solve_revised_with_basis, solve_warm, ConstraintOp, LpProblem, LpStatus, Sense,
     SimplexOptions, WarmStart,
 };
 
@@ -203,7 +203,7 @@ fn warm_matches_cold_across_mutations() {
         let kind = kinds[case % kinds.len()];
         let child_spec = mutate(&spec, kind, &mut rng);
         let child = child_spec.build();
-        let cold = solve_revised(&child, &opts()).expect("cold child solve");
+        let cold = solve(&child, &opts()).expect("cold child solve");
 
         // Basis-only warm start, twice: parity against cold plus the
         // bit-identical replay check.
@@ -323,7 +323,7 @@ fn shape_mismatch_falls_back_cold() {
             continue; // degenerate single-row fallback edit
         }
         let child = child_spec.build();
-        let cold = solve_revised(&child, &opts()).expect("cold solve");
+        let cold = solve(&child, &opts()).expect("cold solve");
         let warm = solve_warm(
             &child,
             WarmStart {
@@ -339,7 +339,7 @@ fn shape_mismatch_falls_back_cold() {
             assert_eq!(
                 warm.solution.objective.to_bits(),
                 cold.objective.to_bits(),
-                "case {case}: internal cold fallback must equal solve_revised exactly"
+                "case {case}: internal cold fallback must equal solve exactly"
             );
         }
     }

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use suu_core::{ObliviousSchedule, SuuInstance};
-use suu_lp::{LuFactors, WarmStart};
+use suu_lp::WarmStart;
 
 /// Cache sizing.
 #[derive(Debug, Clone)]
@@ -199,22 +199,14 @@ pub struct ShardStats {
 }
 
 /// One shard of the warm-basis index: `(structural digest, solver name)` →
-/// the final simplex basis (and its LU factors) of the most recent solve in
-/// that structural class, with tick-based LRU recency. The factors live in
-/// an `Arc`, so the shard lock covers only a reference-count bump; the copy
-/// a lookup hands out is made after the lock is released.
+/// the donor (final simplex basis and its LU factors) of the most recent
+/// solve in that structural class, with tick-based LRU recency. The donor
+/// lives in an `Arc`, so the shard lock covers only a reference-count bump;
+/// the copy a lookup hands out is made after the lock is released.
 #[derive(Default)]
 struct BasisShard {
-    entries: HashMap<(u64, String), (BasisDonor, u64)>,
+    entries: HashMap<(u64, String), (Arc<WarmStart>, u64)>,
     tick: u64,
-}
-
-/// A stored warm-start donor: the basis column set plus the Forrest–Tomlin
-/// LU factors that invert it.
-#[derive(Clone, Default)]
-struct BasisDonor {
-    basis: Vec<usize>,
-    factors: Option<Arc<LuFactors>>,
 }
 
 /// The sharded LRU schedule cache.
@@ -269,22 +261,21 @@ impl ScheduleCache {
         Some(entry.instance.clone())
     }
 
-    /// Stores the final simplex basis of a solve (and, when captured, its LU
-    /// factors), keyed by the instance's structural digest and the solver
-    /// that produced it. Overwrites any previous basis in the same
-    /// structural class — the most recent solve is the best donor for the
-    /// next one.
-    pub fn store_basis(
-        &self,
-        structural_digest: u64,
-        solver: &str,
-        basis: Vec<usize>,
-        factors: Option<LuFactors>,
-    ) {
-        let donor = BasisDonor {
-            basis,
-            factors: factors.map(Arc::new),
-        };
+    /// Keeps the donor of a solve (its final simplex basis and, when
+    /// captured, LU factors), keyed by the instance's structural digest and
+    /// the solver that produced it. Overwrites any previous donor in the
+    /// same structural class — the most recent solve is the best donor for
+    /// the next one.
+    ///
+    /// The factors are [compacted](suu_lp::LuFactors::compact) here, before
+    /// the shard lock is taken: the kept donor then holds only live entries,
+    /// so every later lookup copies a handful of flat arrays of exactly
+    /// those, and a solve whose donor is dropped never pays for compaction.
+    pub fn store_basis(&self, structural_digest: u64, solver: &str, mut donor: WarmStart) {
+        if let Some(factors) = donor.factors.as_mut() {
+            factors.compact();
+        }
+        let donor = Arc::new(donor);
         let mut shard = self
             .basis_shard_for(structural_digest)
             .lock()
@@ -307,10 +298,10 @@ impl ScheduleCache {
     }
 
     /// Looks up a donor for the given structural class, refreshing its
-    /// recency on a hit. Returns a ready-to-install [`WarmStart`]; the LU
-    /// factors are deep-copied out of the shared entry. A solve stores them
-    /// [compacted](LuFactors::compact) into a handful of flat arrays, so
-    /// the copy is about twenty allocations and a memcpy of the live factor
+    /// recency on a hit. Returns a ready-to-install [`WarmStart`],
+    /// deep-copied out of the shared entry. [`store_basis`](Self::store_basis)
+    /// keeps the factors compacted into a handful of flat arrays, so the
+    /// copy is about twenty allocations and a memcpy of the live factor
     /// bytes whatever the basis dimension — a few microseconds against the
     /// hundreds a refactorisation of the donor basis costs — and dropping
     /// the entry a store overwrites frees the same handful of blocks.
@@ -327,13 +318,10 @@ impl ScheduleCache {
                 .entries
                 .get_mut(&(structural_digest, solver.to_string()))?;
             entry.1 = tick;
-            entry.0.clone()
+            Arc::clone(&entry.0)
         };
         // The deep copy happens outside the shard lock.
-        Some(WarmStart {
-            basis: donor.basis,
-            factors: donor.factors.map(|f| (*f).clone()),
-        })
+        Some(WarmStart::clone(&donor))
     }
 
     /// Looks up the cached solve of `instance` by `solver`, refreshing its
@@ -482,6 +470,13 @@ mod tests {
             .unwrap()
     }
 
+    fn basis_only(basis: &[usize]) -> WarmStart {
+        WarmStart {
+            basis: basis.to_vec(),
+            factors: None,
+        }
+    }
+
     fn solve_for(inst: &SuuInstance, solver: &str) -> CachedSolve {
         CachedSolve::new(
             solver.to_string(),
@@ -612,13 +607,13 @@ mod tests {
         let inst = instance(40);
         let structural = inst.structural_digest();
         assert!(cache.lookup_basis(structural, "suu-c").is_none());
-        cache.store_basis(structural, "suu-c", vec![0, 2, 4], None);
+        cache.store_basis(structural, "suu-c", basis_only(&[0, 2, 4]));
         let donor = cache.lookup_basis(structural, "suu-c").unwrap();
         assert_eq!(donor.basis, vec![0, 2, 4]);
         assert!(donor.factors.is_none());
         assert!(cache.lookup_basis(structural, "suu-forest").is_none());
         // Overwrite: the most recent solve wins.
-        cache.store_basis(structural, "suu-c", vec![1, 3, 5], None);
+        cache.store_basis(structural, "suu-c", basis_only(&[1, 3, 5]));
         assert_eq!(
             cache.lookup_basis(structural, "suu-c").unwrap().basis,
             vec![1, 3, 5]
@@ -631,10 +626,10 @@ mod tests {
             num_shards: 1,
             capacity_per_shard: 2,
         });
-        cache.store_basis(1, "s", vec![1], None);
-        cache.store_basis(2, "s", vec![2], None);
+        cache.store_basis(1, "s", basis_only(&[1]));
+        cache.store_basis(2, "s", basis_only(&[2]));
         assert!(cache.lookup_basis(1, "s").is_some()); // refresh: 2 is LRU
-        cache.store_basis(3, "s", vec![3], None);
+        cache.store_basis(3, "s", basis_only(&[3]));
         assert!(cache.lookup_basis(1, "s").is_some());
         assert!(cache.lookup_basis(2, "s").is_none(), "LRU basis evicted");
         assert!(cache.lookup_basis(3, "s").is_some());

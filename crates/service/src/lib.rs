@@ -3,12 +3,12 @@
 //! The rest of the workspace implements the algorithms of Lin & Rajaraman
 //! (SPAA 2007) as library calls; this crate turns them into a serving layer:
 //!
-//! * [`solver`] — the unified [`Solver`](solver::Solver) trait and the
-//!   [`SolverRegistry`](solver::SolverRegistry) that auto-dispatches each
+//! * [`solver`] — the unified [`Solver`] trait and the
+//!   [`SolverRegistry`] that auto-dispatches each
 //!   instance to the paper's strongest algorithm for its structural class
 //!   (independent → `SUU-I-OBL`, disjoint chains → `SUU-C`, trees/forests →
 //!   the block algorithm of Thms 4.7/4.8, general DAGs → a serial baseline).
-//! * [`cache`] — a sharded LRU [`ScheduleCache`](cache::ScheduleCache) keyed
+//! * [`cache`] — a sharded LRU [`ScheduleCache`] keyed
 //!   by the instance's canonical digest, so repeated workloads are served
 //!   without re-solving the LP.
 //! * [`protocol`] — the newline-delimited JSON request/response schema
@@ -20,7 +20,7 @@
 //!   on a shared bounded queue (full → structured `busy` rejection), a
 //!   solver-thread pool parses and answers them, writing responses out of
 //!   order.
-//! * [`service`] — the [`SchedulerService`](service::SchedulerService)
+//! * [`service`] — the [`SchedulerService`]
 //!   combining registry, cache, single-flight and metrics behind one
 //!   request entry point, plus the stdin/stdout transport loop.
 //! * [`server`] — the TCP transport: a listener feeding a pool of
@@ -35,9 +35,9 @@
 //! * [`metrics`] — request/error/latency/coalescing counters shared by the
 //!   transports, aggregated into lock-free per-stage histograms.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
-//!   log-bucketed [`AtomicHistogram`](obs::AtomicHistogram) (wait-free
+//!   log-bucketed [`AtomicHistogram`] (wait-free
 //!   recording, mergeable snapshots, p50/p90/p99/p999) and the
-//!   request-lifecycle [`Stage`](obs::Stage) vocabulary. Surfaced on the
+//!   request-lifecycle [`Stage`] vocabulary. Surfaced on the
 //!   wire through the `stats` verb and the opt-in per-response `trace`
 //!   object (see [`protocol`]).
 //!
@@ -70,7 +70,7 @@ pub use server::{spawn_tcp, ServiceHandle, TcpServerConfig};
 pub use service::{SchedulerService, ServiceConfig};
 pub use session::{
     drive_session, execute_oblivious, open_session_line, widen_schedule, DriveConfig, SessionEvent,
-    SessionRunReport, SessionState, SessionTable, SESSION_SOLVER,
+    SessionReply, SessionRunReport, SessionState, SessionTable, SESSION_SOLVER,
 };
 pub use solver::{SolveOutput, Solver, SolverRegistry};
 

@@ -20,7 +20,9 @@ use crate::protocol::{
     digest_from_wire, error_kind, scan_request_id, BudgetReport, CachePolicy, Detail, Request,
     Response, SolveFailure, SolveOptions, TraceReport,
 };
-use crate::session::{widen_schedule, SessionEvent, SessionState, SessionTable, SESSION_SOLVER};
+use crate::session::{
+    widen_schedule, SessionEvent, SessionReply, SessionState, SessionTable, SESSION_SOLVER,
+};
 use crate::solver::{Solver, SolverRegistry};
 use serde::{Deserialize, Serialize, Value};
 
@@ -131,35 +133,26 @@ fn unknown_session_failure(id: u64, session: u64) -> Response {
     )
 }
 
-/// Renders a session revision (or terminal `done`) reply. `schedule` is
-/// absent exactly when the session is finished — there is nothing left to
-/// schedule.
+/// Renders a session revision (or terminal `done`) reply. `schedule` (with
+/// its warm verdict) is absent exactly when the session is finished — there
+/// is nothing left to schedule.
 fn session_reply(
     id: u64,
     session: u64,
     state: &SessionState,
-    schedule: Option<(&suu_core::ObliviousSchedule, bool)>,
+    schedule: Option<(bool, &suu_core::ObliviousSchedule)>,
 ) -> String {
-    let mut fields = vec![
-        ("id".to_string(), Value::Number(id as f64)),
-        ("ok".to_string(), Value::Bool(true)),
-        ("session".to_string(), Value::Number(session as f64)),
-        ("revision".to_string(), Value::Number(state.revision as f64)),
-        ("done".to_string(), Value::Bool(state.done)),
-        (
-            "unfinished".to_string(),
-            Value::Number(state.job_map.len() as f64),
-        ),
-        (
-            "completed".to_string(),
-            Value::Number(state.completed as f64),
-        ),
-    ];
-    if let Some((schedule, warm)) = schedule {
-        fields.push(("warm".to_string(), Value::Bool(warm)));
-        fields.push(("schedule".to_string(), schedule.to_value()));
+    SessionReply {
+        id,
+        session,
+        revision: state.revision,
+        done: state.done,
+        unfinished: state.job_map.len() as u64,
+        completed: state.completed,
+        schedule,
+        opened: None,
     }
-    Value::Object(fields).render()
+    .render()
 }
 
 /// The successful end of the validate → dispatch → lookup/solve flow.
@@ -494,20 +487,6 @@ impl SchedulerService {
         request: &Request,
         directives: &Directives,
     ) -> Result<SolveOutcome, Response> {
-        if request
-            .num_jobs
-            .saturating_mul(request.num_machines)
-            .max(request.probs.len())
-            > self.config.max_cells
-        {
-            return Err(Response::failure(
-                request.id,
-                format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    request.num_jobs, request.num_machines, self.config.max_cells
-                ),
-            ));
-        }
         if directives.expired() {
             return Err(Response::deadline_exceeded(request.id));
         }
@@ -595,15 +574,34 @@ impl SchedulerService {
         }
     }
 
-    /// Turns a request into the instance to solve: either the inline v1
-    /// payload or — for protocol-v2 delta requests — a cached parent
-    /// resolved by `base_digest`, with the request's [`InstanceDelta`]
-    /// applied on top. Delta-built instances re-check the cell limit, since
-    /// a delta can grow its parent past what the inline payload check saw.
+    /// Turns a request (or an `open_session`) into the instance to solve:
+    /// either the inline v1 payload or — for protocol-v2 delta requests — a
+    /// cached parent resolved by `base_digest`, with the request's
+    /// [`InstanceDelta`] applied on top. The inline payload is checked
+    /// against the cell limit before it is built, and delta-built instances
+    /// again after, since a delta can grow its parent past what the payload
+    /// check saw.
     ///
     /// [`InstanceDelta`]: suu_core::InstanceDelta
     #[allow(clippy::result_large_err)]
     fn resolve_instance(&self, request: &Request) -> Result<SuuInstance, Response> {
+        let too_large = |jobs: usize, machines: usize| {
+            Response::failure(
+                request.id,
+                format!(
+                    "instance too large: {jobs} x {machines} exceeds the {}-cell service limit",
+                    self.config.max_cells
+                ),
+            )
+        };
+        if request
+            .num_jobs
+            .saturating_mul(request.num_machines)
+            .max(request.probs.len())
+            > self.config.max_cells
+        {
+            return Err(too_large(request.num_jobs, request.num_machines));
+        }
         let base = if let Some(wire) = &request.base_digest {
             let Some(digest) = digest_from_wire(wire) else {
                 return Err(Response::failure_with(
@@ -648,15 +646,7 @@ impl SchedulerService {
         if (request.base_digest.is_some() || request.delta.is_some())
             && instance.num_jobs().saturating_mul(instance.num_machines()) > self.config.max_cells
         {
-            return Err(Response::failure(
-                request.id,
-                format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    instance.num_jobs(),
-                    instance.num_machines(),
-                    self.config.max_cells
-                ),
-            ));
+            return Err(too_large(instance.num_jobs(), instance.num_machines()));
         }
         Ok(instance)
     }
@@ -796,8 +786,8 @@ impl SchedulerService {
         // final basis (and its LU factors) behind. When the edit left the
         // basis matrix untouched the factors are adopted outright — no
         // refactorisation — and otherwise the dual simplex repairs the basis
-        // into this instance's optimum in a handful of pivots. `solve_warm`
-        // falls back to a cold solve whenever the donor doesn't fit, so the
+        // into this instance's optimum in a handful of pivots. The solve
+        // falls back to a cold one whenever the donor doesn't fit, so the
         // schedule is the same either way — only the pivot count changes.
         let structural = instance.structural_digest();
         let donor = if self.config.warm_starts {
@@ -805,12 +795,7 @@ impl SchedulerService {
         } else {
             None
         };
-        let result = if self.config.warm_starts {
-            solver.solve_warm(instance, limits, donor)
-        } else {
-            solver.solve(instance, limits)
-        };
-        match result {
+        match solver.solve(instance, limits, donor) {
             Ok(mut output) => {
                 self.metrics.record_fresh_solve();
                 if output.lp_warm {
@@ -820,13 +805,8 @@ impl SchedulerService {
                     self.metrics.record_lp(pivots, micros);
                 }
                 if self.config.warm_starts {
-                    if let Some(basis) = output.lp_basis.take() {
-                        self.cache.store_basis(
-                            structural,
-                            solver.name(),
-                            basis,
-                            output.lp_factors.take(),
-                        );
+                    if let Some(donor) = output.donor.take() {
+                        self.cache.store_basis(structural, solver.name(), donor);
                     }
                 }
                 let solved = CachedSolve::new(
@@ -989,8 +969,12 @@ impl SchedulerService {
         }
     }
 
-    /// Answers `open_session`: validate the inline instance, solve it
-    /// (revision 0), register the session and return the schedule.
+    /// Answers `open_session`: resolve the instance exactly as the request
+    /// path does (inline payload or cached `base_digest`, any `delta`
+    /// applied, cell limit checked), solve it (revision 0), register the
+    /// session and return the schedule. Sessions solve with
+    /// [`SESSION_SOLVER`] only, so a `solver` naming another is rejected;
+    /// `options` are ignored.
     fn open_session_response(&self, id: u64, value: &Value, conn: u64) -> String {
         self.sweep_sessions();
         let request = match Request::from_value(value) {
@@ -1003,23 +987,17 @@ impl SchedulerService {
                 ))
             }
         };
-        if request
-            .num_jobs
-            .saturating_mul(request.num_machines)
-            .max(request.probs.len())
-            > self.config.max_cells
-        {
-            return render_response(&Response::failure(
-                id,
-                format!(
-                    "instance too large: {} x {} exceeds the {}-cell service limit",
-                    request.num_jobs, request.num_machines, self.config.max_cells
-                ),
-            ));
+        if let Some(name) = request.solver.as_deref() {
+            if name != SESSION_SOLVER {
+                return render_response(&Response::failure(
+                    id,
+                    format!("sessions solve with `{SESSION_SOLVER}` only, not `{name}`"),
+                ));
+            }
         }
-        let instance = match request.to_instance() {
+        let instance = match self.resolve_instance(&request) {
             Ok(instance) => instance,
-            Err(message) => return render_response(&Response::failure(id, message)),
+            Err(failure) => return render_response(&failure),
         };
         let start = Instant::now();
         let solved = match self.solve_session_instance(id, &instance) {
@@ -1041,21 +1019,16 @@ impl SchedulerService {
             ));
         };
         self.metrics.record_session_opened();
-        Value::Object(vec![
-            ("id".to_string(), Value::Number(id as f64)),
-            ("ok".to_string(), Value::Bool(true)),
-            ("session".to_string(), Value::Number(session as f64)),
-            ("revision".to_string(), Value::Number(0.0)),
-            ("done".to_string(), Value::Bool(false)),
-            ("unfinished".to_string(), Value::Number(unfinished as f64)),
-            ("warm".to_string(), Value::Bool(solved.lp_warm)),
-            (
-                "solver".to_string(),
-                Value::String(SESSION_SOLVER.to_string()),
-            ),
-            ("machines".to_string(), Value::Number(machines as f64)),
-            ("schedule".to_string(), solved.schedule.to_value()),
-        ])
+        SessionReply {
+            id,
+            session,
+            revision: 0,
+            done: false,
+            unfinished,
+            completed: 0,
+            schedule: Some((solved.lp_warm, &solved.schedule)),
+            opened: Some((SESSION_SOLVER, machines)),
+        }
         .render()
     }
 
@@ -1187,7 +1160,7 @@ impl SchedulerService {
             &state.job_map,
             state.original_machines,
         );
-        session_reply(id, event.session, &state, Some((&wide, solved.lp_warm)))
+        session_reply(id, event.session, &state, Some((solved.lp_warm, &wide)))
     }
 
     /// Answers `close_session`: drop the session and return its final

@@ -10,7 +10,7 @@
 //! unfinished suffix only and warm-started from the cached basis of the
 //! previous revision's structural class (the PR-9 delta machinery).
 //!
-//! This module holds the three pieces that are independent of the
+//! This module holds the pieces that are independent of the
 //! [`SchedulerService`](crate::service::SchedulerService) plumbing:
 //!
 //! * [`SessionTable`] / [`SessionState`] — the per-session state machines:
@@ -20,6 +20,8 @@
 //! * [`SessionEvent`] — the parsed `session_event` payload. Everything on
 //!   the wire is in **original** job/machine ids; the session translates to
 //!   its shrinking internal spaces.
+//! * [`SessionReply`] — the open and revision replies, written directly to
+//!   the wire like the solve path's response body.
 //! * [`drive_session`] / [`execute_oblivious`] — a `suu-sim`-backed
 //!   closed-loop driver that executes a schedule step by step (same
 //!   semantics and RNG draw order as the simulator, via
@@ -341,6 +343,80 @@ pub fn widen_schedule(
         })
         .collect();
     ObliviousSchedule::from_steps(original_machines, steps)
+}
+
+/// A successful `open_session` or `session_event` reply, written straight to
+/// its wire line.
+///
+/// The open reply is the revision-0 reply plus `solver` and `machines`. A
+/// reply carries `warm` and `schedule` exactly when the session is not done.
+#[derive(Debug, Clone, Copy)]
+pub struct SessionReply<'a> {
+    /// The request id echoed back.
+    pub id: u64,
+    /// The session id.
+    pub session: u64,
+    /// The revision this reply carries (0 for the open).
+    pub revision: u64,
+    /// Whether every job has been reported completed.
+    pub done: bool,
+    /// Jobs not reported completed.
+    pub unfinished: u64,
+    /// Jobs reported completed.
+    pub completed: u64,
+    /// The revision's warm verdict and its schedule, in the client's
+    /// coordinates; `None` once the session is done.
+    pub schedule: Option<(bool, &'a ObliviousSchedule)>,
+    /// Open replies only: the session solver and the machine count.
+    pub opened: Option<(&'a str, u64)>,
+}
+
+impl SessionReply<'_> {
+    /// The reply line (no trailing newline), written with the writers the
+    /// solve path's response body uses: [`serde::write_number`] and
+    /// [`serde::write_escaped`] for the fields and
+    /// [`ObliviousSchedule::write_json`] for the schedule. The bytes are
+    /// those of the `serde::Value` rendering of the same fields (pinned by
+    /// the `render_parity` battery).
+    #[must_use]
+    pub fn render(&self) -> String {
+        let schedule_room = self
+            .schedule
+            .map_or(0, |(_, s)| s.len() * (15 + 5 * s.num_machines()));
+        let mut out = String::with_capacity(160 + schedule_room);
+        out.push_str("{\"id\":");
+        serde::write_number(&mut out, self.id as f64);
+        out.push_str(",\"ok\":true,\"session\":");
+        serde::write_number(&mut out, self.session as f64);
+        out.push_str(",\"revision\":");
+        serde::write_number(&mut out, self.revision as f64);
+        out.push_str(if self.done {
+            ",\"done\":true"
+        } else {
+            ",\"done\":false"
+        });
+        out.push_str(",\"unfinished\":");
+        serde::write_number(&mut out, self.unfinished as f64);
+        out.push_str(",\"completed\":");
+        serde::write_number(&mut out, self.completed as f64);
+        if let Some((warm, schedule)) = self.schedule {
+            out.push_str(if warm {
+                ",\"warm\":true"
+            } else {
+                ",\"warm\":false"
+            });
+            if let Some((solver, machines)) = self.opened {
+                out.push_str(",\"solver\":");
+                serde::write_escaped(&mut out, solver);
+                out.push_str(",\"machines\":");
+                serde::write_number(&mut out, machines as f64);
+            }
+            out.push_str(",\"schedule\":");
+            schedule.write_json(&mut out);
+        }
+        out.push('}');
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------

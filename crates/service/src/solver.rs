@@ -16,13 +16,13 @@
 //! | trees / forests | `suu-forest` | Thms 4.7, 4.8 |
 //! | general DAG | `serial-baseline` | (fallback) |
 
-use suu_algorithms::chains::{schedule_chains_with, ChainsOptions};
+use suu_algorithms::chains::ChainsOptions;
 use suu_algorithms::forest::schedule_forest_with;
 use suu_algorithms::suu_i_obl::{suu_i_oblivious_with, SuuIOblLimits};
-use suu_algorithms::{schedule_given_chains_warm, AlgorithmError, LpBudget};
+use suu_algorithms::{schedule_given_chains, AlgorithmError, LpBudget};
 use suu_core::{Assignment, ObliviousSchedule, SuuInstance};
-use suu_graph::ForestKind;
-use suu_lp::{LuFactors, WarmStart};
+use suu_graph::{ChainSet, ForestKind};
+use suu_lp::WarmStart;
 
 /// The uniform result of one solve: the executable schedule plus the
 /// diagnostics every algorithm can report.
@@ -38,15 +38,11 @@ pub struct SolveOutput {
     /// Wall-clock microseconds spent building and solving the LPs, for the
     /// LP-based algorithms (summed over blocks for the forest pipeline).
     pub lp_micros: Option<u64>,
-    /// Final LP basis snapshot, when the solve ended at a reusable
-    /// (optimal, artificial-free) revised-simplex basis. The service's
-    /// warm-start index stores it keyed by structural digest so a later
-    /// solve of a structurally identical instance can start from it.
-    pub lp_basis: Option<Vec<usize>>,
-    /// LU factors of that final basis. Stored alongside the basis so a
-    /// follow-up solve whose edit leaves the basis matrix untouched adopts
-    /// the Forrest–Tomlin factorisation outright instead of refactorising.
-    pub lp_factors: Option<LuFactors>,
+    /// The LP's final basis and its LU factors, when the solve ended at a
+    /// reusable (optimal, artificial-free) basis. The service's warm-start
+    /// index keeps it, keyed by structural digest, as the donor for a later
+    /// solve of a structurally identical instance.
+    pub donor: Option<WarmStart>,
     /// Whether this solve actually started from a donor basis (warm). Cold
     /// solves and solvers without warm support report `false`.
     pub lp_warm: bool,
@@ -60,8 +56,7 @@ impl SolveOutput {
             lp_value: None,
             lp_pivots: None,
             lp_micros: None,
-            lp_basis: None,
-            lp_factors: None,
+            donor: None,
             lp_warm: false,
         }
     }
@@ -76,10 +71,18 @@ pub trait Solver: Send + Sync {
     fn supports(&self, instance: &SuuInstance) -> bool;
 
     /// Computes a schedule under the caller's resource limits ([`LpBudget`]:
-    /// LP engine override, pivot budget, wall-clock deadline —
-    /// `LpBudget::default()` means unbounded, the historical behaviour). A
-    /// budget that is not exhausted never changes the result; an exhausted
-    /// one surfaces as [`AlgorithmError::BudgetExhausted`].
+    /// pivot budget and wall-clock deadline — `LpBudget::default()` means
+    /// unbounded, the historical behaviour). A budget that is not exhausted
+    /// never changes the result; an exhausted one surfaces as
+    /// [`AlgorithmError::BudgetExhausted`].
+    ///
+    /// `warm` is an optional donor (basis and, when available, LU factors)
+    /// from a previous solve of a structurally identical instance; `None`
+    /// solves cold. Solvers without warm-start support ignore it — warm
+    /// starting is an optimisation, never a behavioural contract, so a
+    /// solver must produce the same schedule warm as cold (the LP warm path
+    /// re-solves to the same optimum and falls back to a cold solve when the
+    /// donor does not fit).
     ///
     /// # Errors
     ///
@@ -90,28 +93,8 @@ pub trait Solver: Send + Sync {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
-    ) -> Result<SolveOutput, AlgorithmError>;
-
-    /// [`solve`](Solver::solve) with an optional donor [`WarmStart`] (basis
-    /// and, when available, LU factors) from a previous solve of a
-    /// structurally identical instance. Solvers without warm-start support
-    /// ignore the donor and solve cold — warm starting is an optimisation,
-    /// never a behavioural contract. Implementations must produce the same
-    /// schedule warm as cold (the LP warm path re-solves to the same optimum
-    /// and falls back to a cold solve when the donor basis is unusable).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Solver::solve).
-    fn solve_warm(
-        &self,
-        instance: &SuuInstance,
-        limits: &LpBudget,
         warm: Option<WarmStart>,
-    ) -> Result<SolveOutput, AlgorithmError> {
-        let _ = warm;
-        self.solve(instance, limits)
-    }
+    ) -> Result<SolveOutput, AlgorithmError>;
 }
 
 /// `SUU-I-OBL` (Alg. 2, Theorem 3.6): the combinatorial oblivious schedule
@@ -132,6 +115,7 @@ impl Solver for SuuIOblSolver {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
+        _warm: Option<WarmStart>,
     ) -> Result<SolveOutput, AlgorithmError> {
         // Combinatorial pipeline: no LP runs, so only the deadline applies.
         let out = suu_i_oblivious_with(
@@ -146,8 +130,8 @@ impl Solver for SuuIOblSolver {
 
 /// `SUU-C` (Theorem 4.4): the LP-based pipeline for disjoint chains. The
 /// only registered solver with warm-start support: its single (LP1) solve
-/// exposes a reusable final basis, and [`Solver::solve_warm`] re-solves from
-/// a donor basis via the revised engine's primal/dual warm paths.
+/// hands back its final basis as a donor, and re-solves from a donor via
+/// the revised engine's primal/dual warm paths.
 #[derive(Debug, Default)]
 pub struct ChainsSolver;
 
@@ -167,43 +151,20 @@ impl Solver for ChainsSolver {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
-    ) -> Result<SolveOutput, AlgorithmError> {
-        let options = ChainsOptions {
-            lp: *limits,
-            ..ChainsOptions::default()
-        };
-        let out = schedule_chains_with(instance, &options)?;
-        Ok(SolveOutput {
-            schedule: out.schedule,
-            lp_value: Some(out.lp_value),
-            lp_pivots: Some(out.lp_pivots),
-            lp_micros: Some(out.lp_micros.0),
-            lp_basis: None,
-            lp_factors: None,
-            lp_warm: false,
-        })
-    }
-
-    fn solve_warm(
-        &self,
-        instance: &SuuInstance,
-        limits: &LpBudget,
         warm: Option<WarmStart>,
     ) -> Result<SolveOutput, AlgorithmError> {
-        let chains = suu_graph::ChainSet::from_dag(instance.precedence())
-            .ok_or(AlgorithmError::NotChains)?;
+        let chains = ChainSet::from_dag(instance.precedence()).ok_or(AlgorithmError::NotChains)?;
         let options = ChainsOptions {
             lp: *limits,
             ..ChainsOptions::default()
         };
-        let (out, info) = schedule_given_chains_warm(instance, &chains, &options, warm)?;
+        let (out, info) = schedule_given_chains(instance, &chains, &options, warm)?;
         Ok(SolveOutput {
             schedule: out.schedule,
             lp_value: Some(out.lp_value),
             lp_pivots: Some(out.lp_pivots),
             lp_micros: Some(out.lp_micros.0),
-            lp_basis: (!info.basis.is_empty()).then_some(info.basis),
-            lp_factors: info.factors,
+            donor: info.donor,
             lp_warm: info.warm,
         })
     }
@@ -227,6 +188,7 @@ impl Solver for ForestSolver {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
+        _warm: Option<WarmStart>,
     ) -> Result<SolveOutput, AlgorithmError> {
         let options = ChainsOptions {
             lp: *limits,
@@ -234,13 +196,9 @@ impl Solver for ForestSolver {
         };
         let out = schedule_forest_with(instance, &options)?;
         Ok(SolveOutput {
-            schedule: out.schedule,
-            lp_value: None,
             lp_pivots: Some(out.lp_pivots),
             lp_micros: Some(out.lp_micros.0),
-            lp_basis: None,
-            lp_factors: None,
-            lp_warm: false,
+            ..SolveOutput::plain(out.schedule)
         })
     }
 }
@@ -265,6 +223,7 @@ impl Solver for SerialBaselineSolver {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
+        _warm: Option<WarmStart>,
     ) -> Result<SolveOutput, AlgorithmError> {
         // One pass over the precedence order — cheap enough that only an
         // already-expired deadline is worth honouring (this solver doubles
@@ -421,7 +380,7 @@ mod tests {
         ];
         for inst in &instances {
             let solver = registry.dispatch(inst).unwrap();
-            let out = solver.solve(inst, &LpBudget::default()).unwrap();
+            let out = solver.solve(inst, &LpBudget::default(), None).unwrap();
             assert!(!out.schedule.is_empty());
             assert_eq!(out.schedule.num_machines(), inst.num_machines());
             for step in out.schedule.steps() {
@@ -459,6 +418,7 @@ mod tests {
                     max_pivots: Some(1),
                     ..LpBudget::default()
                 },
+                None,
             )
             .unwrap_err();
         assert!(matches!(err, AlgorithmError::BudgetExhausted { .. }));
@@ -469,9 +429,11 @@ mod tests {
             ..LpBudget::default()
         };
         let ind = independent(4, 2);
-        let err = SuuIOblSolver.solve(&ind, &expired).unwrap_err();
+        let err = SuuIOblSolver.solve(&ind, &expired, None).unwrap_err();
         assert!(matches!(err, AlgorithmError::BudgetExhausted { .. }));
-        let err = SerialBaselineSolver.solve(&ind, &expired).unwrap_err();
+        let err = SerialBaselineSolver
+            .solve(&ind, &expired, None)
+            .unwrap_err();
         assert!(matches!(err, AlgorithmError::BudgetExhausted { .. }));
     }
 
@@ -485,25 +447,13 @@ mod tests {
         // The default limits capture and reuse bases even on this
         // deliberately small instance.
         let limits = LpBudget::default();
-        let mut cold = ChainsSolver.solve_warm(&chains, &limits, None).unwrap();
+        let mut cold = ChainsSolver.solve(&chains, &limits, None).unwrap();
         assert!(!cold.lp_warm, "no donor basis means a cold solve");
-        let basis = cold
-            .lp_basis
-            .clone()
-            .expect("revised solve captures a basis");
-        let factors = cold.lp_factors.take();
-        assert!(factors.is_some(), "revised solve captures LU factors");
+        let donor = cold.donor.take().expect("revised solve captures a basis");
+        assert!(donor.factors.is_some(), "revised solve captures LU factors");
+        let basis = donor.basis.clone();
 
-        let warm = ChainsSolver
-            .solve_warm(
-                &chains,
-                &limits,
-                Some(WarmStart {
-                    basis: basis.clone(),
-                    factors,
-                }),
-            )
-            .unwrap();
+        let warm = ChainsSolver.solve(&chains, &limits, Some(donor)).unwrap();
         assert!(warm.lp_warm, "donor basis must drive the re-solve");
         assert_eq!(warm.schedule, cold.schedule, "warm must match cold");
         assert!((warm.lp_value.unwrap() - cold.lp_value.unwrap()).abs() < 1e-12);
@@ -512,10 +462,10 @@ mod tests {
             "restarting from the optimal basis must not pivot more"
         );
 
-        // The default trait method ignores the basis: solvers without warm
-        // support keep their cold behaviour.
+        // Solvers without warm support ignore the donor and keep their cold
+        // behaviour.
         let baseline = SerialBaselineSolver
-            .solve_warm(
+            .solve(
                 &chains,
                 &LpBudget::default(),
                 Some(WarmStart {
@@ -525,14 +475,14 @@ mod tests {
             )
             .unwrap();
         assert!(!baseline.lp_warm);
-        assert!(baseline.lp_basis.is_none());
+        assert!(baseline.donor.is_none());
     }
 
     #[test]
     fn serial_baseline_covers_every_job() {
         let inst = independent(5, 3);
         let out = SerialBaselineSolver
-            .solve(&inst, &LpBudget::default())
+            .solve(&inst, &LpBudget::default(), None)
             .unwrap();
         assert_eq!(out.schedule.len(), 5);
         for j in inst.jobs() {

@@ -13,6 +13,7 @@ use serde::Value;
 
 use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
+use suu_lp::WarmStart;
 use suu_service::{
     error_kind, open_session_line, spawn_tcp, PipelineConfig, Request, Response, SchedulerService,
     ServiceConfig, SolveOutput, Solver, SolverRegistry, TcpServerConfig,
@@ -126,7 +127,12 @@ impl Solver for Panicker {
         true
     }
 
-    fn solve(&self, _: &SuuInstance, _: &LpBudget) -> Result<SolveOutput, AlgorithmError> {
+    fn solve(
+        &self,
+        _: &SuuInstance,
+        _: &LpBudget,
+        _: Option<WarmStart>,
+    ) -> Result<SolveOutput, AlgorithmError> {
         panic!("deliberate solver panic");
     }
 }
@@ -213,11 +219,15 @@ impl Solver for PanicsAfterFirstSolve {
         &self,
         instance: &SuuInstance,
         limits: &LpBudget,
+        warm: Option<WarmStart>,
     ) -> Result<SolveOutput, AlgorithmError> {
         if self.solves.fetch_add(1, Ordering::SeqCst) > 0 {
             panic!("deliberate panic in a session revision");
         }
-        self.paper.by_name("suu-c").unwrap().solve(instance, limits)
+        self.paper
+            .by_name("suu-c")
+            .unwrap()
+            .solve(instance, limits, warm)
     }
 }
 

@@ -9,12 +9,16 @@
 //! fractional, `-0.0`, `1e300`, non-finite values that render `null`,
 //! integers past 2⁵³), and solver names that need escaping — for both the
 //! full and the `no_schedule` body.
+//!
+//! The session replies ([`SessionReply::render`]) are held to the same
+//! oracle: open, revision and `done` replies over the same schedules, ids
+//! and solver names.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
 use suu_core::{Assignment, JobId, MachineId, ObliviousSchedule};
-use suu_service::CachedSolve;
+use suu_service::{CachedSolve, SessionReply};
 
 /// The `Value`-tree rendering of a body fragment: the six fields as one
 /// object, rendered compactly, outer braces stripped.
@@ -165,5 +169,78 @@ fn random_schedules_render_identically() {
         let micros = COUNTS[rng.gen_range(0..COUNTS.len())];
         let solver = SOLVERS[rng.gen_range(0..SOLVERS.len())];
         assert_parity(&solve(solver, schedule, lp_value, pivots, micros));
+    }
+}
+
+/// The `Value`-tree rendering of a session reply's fields, in wire order.
+fn session_oracle(reply: &SessionReply) -> String {
+    let mut fields = vec![
+        ("id", reply.id.to_value()),
+        ("ok", true.to_value()),
+        ("session", reply.session.to_value()),
+        ("revision", reply.revision.to_value()),
+        ("done", reply.done.to_value()),
+        ("unfinished", reply.unfinished.to_value()),
+        ("completed", reply.completed.to_value()),
+    ];
+    if let Some((warm, schedule)) = reply.schedule {
+        fields.push(("warm", warm.to_value()));
+        if let Some((solver, machines)) = reply.opened {
+            fields.push(("solver", solver.to_value()));
+            fields.push(("machines", machines.to_value()));
+        }
+        fields.push(("schedule", schedule.to_value()));
+    }
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+    .render()
+}
+
+/// Open, revision and `done` replies around `schedule` render exactly as
+/// their `Value` trees.
+fn assert_session_parity(schedule: &ObliviousSchedule, id: u64, count: u64, solver: &str) {
+    for warm in [false, true] {
+        let revision = SessionReply {
+            id,
+            session: count,
+            revision: count,
+            done: false,
+            unfinished: count,
+            completed: id,
+            schedule: Some((warm, schedule)),
+            opened: None,
+        };
+        let open = SessionReply {
+            revision: 0,
+            completed: 0,
+            opened: Some((solver, count)),
+            ..revision
+        };
+        let done = SessionReply {
+            done: true,
+            unfinished: 0,
+            schedule: None,
+            ..revision
+        };
+        for reply in [open, revision, done] {
+            assert_eq!(reply.render(), session_oracle(&reply), "{reply:?}");
+        }
+    }
+}
+
+#[test]
+fn session_replies_render_identically() {
+    let mut schedules = edge_schedules();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E55);
+    schedules.extend((0..100).map(|_| random_schedule(&mut rng)));
+    for (k, schedule) in schedules.iter().enumerate() {
+        for id in COUNTS.into_iter().flatten() {
+            let count = COUNTS[k % COUNTS.len()].unwrap_or(1);
+            assert_session_parity(schedule, id, count, SOLVERS[k % SOLVERS.len()]);
+        }
     }
 }

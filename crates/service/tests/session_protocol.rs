@@ -21,7 +21,10 @@
 //!   session verb, and a full table answers `busy` instead of evicting
 //!   someone else;
 //! * the `stats` verb reports the session counters and the revision-latency
-//!   histogram that perfbench's `sessions` workload reads.
+//!   histogram that perfbench's `sessions` workload reads;
+//! * `open_session` resolves its instance exactly as a request does (a
+//!   `delta` applies, a `base_digest` resolves from the solve cache) and
+//!   rejects a `solver` other than `suu-c` with `invalid_request`.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -29,9 +32,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
+use suu_core::{InstanceDelta, SuuInstance};
 use suu_service::{
-    drive_session, open_session_line, spawn_tcp, DriveConfig, PipelineConfig, SchedulerService,
-    ServiceConfig, SolverPool, TcpServerConfig,
+    digest_to_wire, drive_session, open_session_line, spawn_tcp, DriveConfig, PipelineConfig,
+    SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
 };
 use suu_workloads::machine_failure_scenario;
 
@@ -385,4 +389,106 @@ fn full_table_answers_busy() {
         Some(&Value::String("busy".to_string()))
     );
     assert_eq!(service.sessions().len(), 1, "the live session survives");
+}
+
+/// `open_session_line` with top-level fields set (replaced or appended).
+fn open_with(id: u64, instance: &SuuInstance, set: Vec<(&str, Value)>) -> String {
+    let Value::Object(mut fields) = serde_json::parse(&open_session_line(id, instance)).unwrap()
+    else {
+        unreachable!("open lines are objects")
+    };
+    for (key, value) in set {
+        fields.retain(|(k, _)| k != key);
+        fields.push((key.to_string(), value));
+    }
+    Value::Object(fields).render()
+}
+
+fn open(service: &SchedulerService, line: &str) -> Value {
+    serde_json::parse(&service.handle_line(line)).unwrap()
+}
+
+/// An open's `delta` edits its inline instance before revision 0 is solved:
+/// the schedule is the one of the edited instance, not of the payload.
+#[test]
+fn open_applies_its_delta() {
+    let service = SchedulerService::new(ServiceConfig::default());
+    let instance = machine_failure_scenario(7).instance;
+    let edited = instance
+        .apply_delta(&InstanceDelta {
+            set_prob: vec![(0, 0, 0.01)],
+            ..InstanceDelta::default()
+        })
+        .unwrap();
+    let delta = serde_json::parse(r#"{"set_prob":[[0,0,0.01]]}"#).unwrap();
+    let with_delta = open(&service, &open_with(1, &instance, vec![("delta", delta)]));
+    assert_eq!(
+        with_delta.get("ok"),
+        Some(&Value::Bool(true)),
+        "{:?}",
+        with_delta.get("error")
+    );
+    let plain = open(&service, &open_session_line(2, &instance));
+    let direct = open(&service, &open_session_line(3, &edited));
+    assert_eq!(with_delta.get("schedule"), direct.get("schedule"));
+    assert_ne!(with_delta.get("schedule"), plain.get("schedule"));
+    assert_eq!(number(&with_delta, &["completed"]), 0.0);
+}
+
+/// Sessions solve with `suu-c` only: naming any other solver on the open is
+/// an invalid request, not a silent substitution.
+#[test]
+fn open_rejects_a_solver_other_than_suu_c() {
+    let service = SchedulerService::new(ServiceConfig::default());
+    let instance = machine_failure_scenario(7).instance;
+    let named = |solver: &str| {
+        let line = open_with(1, &instance, vec![("solver", Value::String(solver.into()))]);
+        open(&service, &line)
+    };
+    let reply = named("serial-baseline");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Value::Bool(false)),
+        "{:?}",
+        reply.get("solver")
+    );
+    assert_eq!(
+        reply.get("error_kind"),
+        Some(&Value::String("invalid_request".to_string()))
+    );
+    assert!(
+        service.sessions().is_empty(),
+        "a rejected open opens nothing"
+    );
+    let reply = named("suu-c");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Value::Bool(true)),
+        "{:?}",
+        reply.get("error")
+    );
+}
+
+/// An open by `base_digest` resolves its instance from the solve cache,
+/// like a delta request, and answers with the base's schedule.
+#[test]
+fn open_resolves_a_base_digest() {
+    let service = SchedulerService::new(ServiceConfig::default());
+    let instance = machine_failure_scenario(7).instance;
+    let inline = open(&service, &open_session_line(1, &instance));
+    assert_eq!(inline.get("ok"), Some(&Value::Bool(true)));
+    let line = format!(
+        r#"{{"id":2,"verb":"open_session","base_digest":"{}"}}"#,
+        digest_to_wire(instance.canonical_digest())
+    );
+    let by_digest = open(&service, &line);
+    assert_eq!(
+        by_digest.get("ok"),
+        Some(&Value::Bool(true)),
+        "{:?}",
+        by_digest.get("error")
+    );
+    assert_eq!(number(&by_digest, &["unfinished"]), 16.0);
+    assert_eq!(by_digest.get("schedule"), inline.get("schedule"));
+    assert_eq!(service.sessions().len(), 2);
 }
