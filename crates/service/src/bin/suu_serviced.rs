@@ -11,11 +11,17 @@
 //!     [--cache-shards N] [--cache-capacity N]
 //! ```
 //!
+//! With neither `--stdin` nor `--tcp` it serves TCP on 127.0.0.1:7077. An
+//! unknown flag, a flag without its value or a value that does not parse is
+//! reported with the usage line, and the daemon exits with status 2.
+//!
 //! Requests execute on a solver pool shared by every connection: responses
 //! may return out of order (match them by `id`), identical concurrent
 //! solves are coalesced, and a full queue yields structured `busy` errors.
 //!
-//! Status and metrics go to stderr; stdout carries only protocol responses.
+//! Status goes to stderr; stdout carries only protocol responses. At stdin
+//! EOF, and every 60 s on TCP, the daemon prints one status line of
+//! `path=value` pairs named like the `stats` reply's key paths.
 
 use std::sync::Arc;
 
@@ -24,59 +30,78 @@ use suu_service::{
     TcpServerConfig,
 };
 
+const USAGE: &str = "usage: suu_serviced [--stdin | --tcp ADDR] [--workers N] \
+                     [--solver-threads N] [--queue-capacity N] [--cache-shards N] \
+                     [--cache-capacity N]";
+
+#[derive(Debug)]
 struct Args {
     stdin: bool,
     tcp: Option<String>,
     workers: usize,
     pipeline: PipelineConfig,
-    cache_shards: usize,
-    cache_capacity: usize,
+    cache: CacheConfig,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let defaults = PipelineConfig::default();
-    Args {
-        stdin: argv.iter().any(|a| a == "--stdin"),
-        tcp: flag_value("--tcp"),
-        workers: flag_value("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4),
-        pipeline: PipelineConfig {
-            solver_threads: flag_value("--solver-threads")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.solver_threads),
-            queue_capacity: flag_value("--queue-capacity")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.queue_capacity),
-        },
-        cache_shards: flag_value("--cache-shards")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        cache_capacity: flag_value("--cache-capacity")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(128),
+impl Args {
+    /// Parses command-line arguments, program name excluded.
+    fn parse<I, S>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut parsed = Self {
+            stdin: false,
+            tcp: None,
+            workers: 4,
+            pipeline: PipelineConfig::default(),
+            cache: CacheConfig::default(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_ref();
+            let mut value = || {
+                args.next()
+                    .map(|value| value.as_ref().to_string())
+                    .ok_or_else(|| format!("`{flag}` needs a value"))
+            };
+            let count = |value: String| {
+                value
+                    .parse()
+                    .map_err(|_| format!("`{flag} {value}`: not a non-negative integer"))
+            };
+            match flag {
+                "--stdin" => parsed.stdin = true,
+                "--tcp" => parsed.tcp = Some(value()?),
+                "--workers" => parsed.workers = count(value()?)?,
+                "--solver-threads" => parsed.pipeline.solver_threads = count(value()?)?,
+                "--queue-capacity" => parsed.pipeline.queue_capacity = count(value()?)?,
+                "--cache-shards" => parsed.cache.num_shards = count(value()?)?,
+                "--cache-capacity" => parsed.cache.capacity_per_shard = count(value()?)?,
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        if parsed.stdin && parsed.tcp.is_some() {
+            return Err("`--stdin` and `--tcp` exclude each other".to_string());
+        }
+        Ok(parsed)
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("suu_serviced: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
     let service = Arc::new(SchedulerService::new(ServiceConfig {
-        cache: CacheConfig {
-            num_shards: args.cache_shards,
-            capacity_per_shard: args.cache_capacity,
-        },
+        cache: args.cache,
         ..ServiceConfig::default()
     }));
     eprintln!(
         "suu_serviced: solvers [{}]",
         service.registry().names().join(", ")
     );
+    let status_line = || service.metrics().snapshot().status_line();
 
     if args.stdin {
         eprintln!(
@@ -92,7 +117,7 @@ fn main() {
             eprintln!("suu_serviced: transport error: {err}");
             std::process::exit(1);
         }
-        eprintln!("{}", service.metrics().snapshot().render());
+        eprintln!("{}", status_line());
         return;
     }
 
@@ -120,6 +145,57 @@ fn main() {
     // Serve until killed; the TCP threads own all the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(60));
-        eprintln!("{}", service.metrics().snapshot().render());
+        eprintln!("{}", status_line());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let args = Args::parse(
+            "--tcp 127.0.0.1:0 --workers 3 --solver-threads 2 --queue-capacity 16384 \
+             --cache-shards 4 --cache-capacity 64"
+                .split_whitespace(),
+        )
+        .unwrap();
+        assert!(!args.stdin);
+        assert_eq!(args.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(args.workers, 3);
+        assert_eq!(args.pipeline.solver_threads, 2);
+        assert_eq!(args.pipeline.queue_capacity, 16_384);
+        assert_eq!(args.cache.num_shards, 4);
+        assert_eq!(args.cache.capacity_per_shard, 64);
+
+        let stdin = Args::parse(["--stdin"]).unwrap();
+        assert!(stdin.stdin && stdin.tcp.is_none());
+        let defaults = Args::parse(Vec::<String>::new()).unwrap();
+        assert!(!defaults.stdin && defaults.tcp.is_none());
+        assert_eq!(defaults.workers, 4);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_missing_values_and_bad_numbers() {
+        for (argv, expected) in [
+            (&["--stdn"][..], "unknown argument `--stdn`"),
+            (&["--tcp"], "`--tcp` needs a value"),
+            (&["--stdin", "--workers"], "`--workers` needs a value"),
+            (
+                &["--workers", "abc"],
+                "`--workers abc`: not a non-negative integer",
+            ),
+            (
+                &["--queue-capacity", "-1"],
+                "`--queue-capacity -1`: not a non-negative integer",
+            ),
+            (
+                &["--stdin", "--tcp", "127.0.0.1:0"],
+                "`--stdin` and `--tcp` exclude each other",
+            ),
+        ] {
+            assert_eq!(Args::parse(argv).unwrap_err(), expected, "{argv:?}");
+        }
     }
 }

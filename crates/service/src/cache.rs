@@ -205,7 +205,7 @@ pub struct ShardStats {
 /// the copy a lookup hands out is made after the lock is released.
 #[derive(Default)]
 struct BasisShard {
-    entries: HashMap<(u64, String), (Arc<WarmStart>, u64)>,
+    entries: HashMap<(u64, &'static str), (Arc<WarmStart>, u64)>,
     tick: u64,
 }
 
@@ -271,7 +271,7 @@ impl ScheduleCache {
     /// the shard lock is taken: the kept donor then holds only live entries,
     /// so every later lookup copies a handful of flat arrays of exactly
     /// those, and a solve whose donor is dropped never pays for compaction.
-    pub fn store_basis(&self, structural_digest: u64, solver: &str, mut donor: WarmStart) {
+    pub fn store_basis(&self, structural_digest: u64, solver: &'static str, mut donor: WarmStart) {
         if let Some(factors) = donor.factors.as_mut() {
             factors.compact();
         }
@@ -284,13 +284,13 @@ impl ScheduleCache {
         let tick = shard.tick;
         shard
             .entries
-            .insert((structural_digest, solver.to_string()), (donor, tick));
+            .insert((structural_digest, solver), (donor, tick));
         if shard.entries.len() > self.capacity_per_shard {
             if let Some(lru) = shard
                 .entries
                 .iter()
                 .min_by_key(|(_, &(_, used))| used)
-                .map(|(k, _)| k.clone())
+                .map(|(&k, _)| k)
             {
                 shard.entries.remove(&lru);
             }
@@ -306,7 +306,7 @@ impl ScheduleCache {
     /// hundreds a refactorisation of the donor basis costs — and dropping
     /// the entry a store overwrites frees the same handful of blocks.
     #[must_use]
-    pub fn lookup_basis(&self, structural_digest: u64, solver: &str) -> Option<WarmStart> {
+    pub fn lookup_basis(&self, structural_digest: u64, solver: &'static str) -> Option<WarmStart> {
         let donor = {
             let mut shard = self
                 .basis_shard_for(structural_digest)
@@ -314,9 +314,7 @@ impl ScheduleCache {
                 .expect("basis shard poisoned");
             shard.tick += 1;
             let tick = shard.tick;
-            let entry = shard
-                .entries
-                .get_mut(&(structural_digest, solver.to_string()))?;
+            let entry = shard.entries.get_mut(&(structural_digest, solver))?;
             entry.1 = tick;
             Arc::clone(&entry.0)
         };

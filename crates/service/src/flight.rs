@@ -34,7 +34,7 @@ use crate::protocol::SolveFailure;
 /// (budgets, cache policy, the `detail` projection, tracing and the ignored
 /// `engine` field cannot change the computed artifact), so requests
 /// differing only in options still coalesce onto one solve.
-pub type FlightKey = (u64, String);
+pub type FlightKey = (u64, &'static str);
 
 /// One in-flight solve: the leader publishes here, followers wait here.
 struct Slot {
@@ -179,7 +179,7 @@ impl SingleFlight {
             return Err(Flight::Follow(FollowHandle(Arc::clone(slot))));
         }
         let slot = Arc::new(Slot::new());
-        slots.insert(key.clone(), Arc::clone(&slot));
+        slots.insert(key, Arc::clone(&slot));
         Err(Flight::Lead(FlightGuard {
             table: self,
             key: Some(key),
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn probe_hit_short_circuits() {
         let flight = SingleFlight::new();
-        let out = flight.begin((1, "s".into()), || Some(solve("cached")));
+        let out = flight.begin((1, "s"), || Some(solve("cached")));
         match out {
             Ok(hit) => assert_eq!(hit.solver, "cached"),
             Err(_) => panic!("probe hit must not create a slot"),
@@ -271,13 +271,13 @@ mod tests {
     #[test]
     fn leader_then_follower_then_cleared() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (7, "s".into());
-        let guard = match flight.begin(key.clone(), || None) {
+        let key: FlightKey = (7, "s");
+        let guard = match flight.begin(key, || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("first caller must lead"),
         };
         assert_eq!(flight.in_flight(), 1);
-        let follower = match flight.begin(key.clone(), || None) {
+        let follower = match flight.begin(key, || None) {
             Err(Flight::Follow(slot)) => slot,
             _ => panic!("second caller must follow"),
         };
@@ -306,7 +306,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     let probe = || cache.lock().unwrap().clone();
-                    match flight.begin((42, "s".into()), probe) {
+                    match flight.begin((42, "s"), probe) {
                         Ok(hit) => hit.solver,
                         Err(Flight::Lead(guard)) => {
                             leaders.fetch_add(1, Ordering::SeqCst);
@@ -330,12 +330,12 @@ mod tests {
     #[test]
     fn leader_errors_propagate_but_are_not_sticky() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (9, "s".into());
-        let guard = match flight.begin(key.clone(), || None) {
+        let key: FlightKey = (9, "s");
+        let guard = match flight.begin(key, || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
         };
-        let follower = match flight.begin(key.clone(), || None) {
+        let follower = match flight.begin(key, || None) {
             Err(Flight::Follow(slot)) => slot,
             _ => panic!("must follow"),
         };
@@ -351,8 +351,8 @@ mod tests {
     #[test]
     fn follower_deadline_binds_while_waiting() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (13, "s".into());
-        let guard = match flight.begin(key.clone(), || None) {
+        let key: FlightKey = (13, "s");
+        let guard = match flight.begin(key, || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
         };
@@ -376,8 +376,8 @@ mod tests {
     #[test]
     fn follower_wait_until_returns_published_results() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (14, "s".into());
-        let guard = match flight.begin(key.clone(), || None) {
+        let key: FlightKey = (14, "s");
+        let guard = match flight.begin(key, || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
         };
@@ -393,8 +393,8 @@ mod tests {
     #[test]
     fn dropped_leader_releases_followers_with_an_error() {
         let flight = SingleFlight::new();
-        let key: FlightKey = (11, "s".into());
-        let guard = match flight.begin(key.clone(), || None) {
+        let key: FlightKey = (11, "s");
+        let guard = match flight.begin(key, || None) {
             Err(Flight::Lead(guard)) => guard,
             _ => panic!("must lead"),
         };

@@ -32,8 +32,10 @@
 //!   hosts the `suu-sim`-backed closed-loop driver used by the
 //!   `exp_adaptive` experiment and the repository benchmark's `sessions`
 //!   workload.
-//! * [`metrics`] — request/error/latency/coalescing counters shared by the
-//!   transports, aggregated into lock-free per-stage histograms.
+//! * [`metrics`] — the service's counters and histograms, one table each
+//!   ([`Counter`], [`Histogram`], plus the per-[`Stage`] histograms) whose
+//!   entries carry their `stats` key paths; the `stats` reply and the
+//!   daemon's status line are rendered from them.
 //! * [`obs`] — the observability primitives underneath [`metrics`]: a
 //!   log-bucketed [`AtomicHistogram`] (wait-free
 //!   recording, mergeable snapshots, p50/p90/p99/p999) and the
@@ -58,7 +60,7 @@ pub mod solver;
 
 pub use cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
 pub use flight::SingleFlight;
-pub use metrics::{MetricsSnapshot, ServiceMetrics};
+pub use metrics::{Counter, Histogram, MetricsSnapshot, ServiceMetrics};
 pub use obs::{AtomicHistogram, HistogramSnapshot, Stage};
 pub use pipeline::{PipelineConfig, PoolHandle, ResponseSink, SolverPool};
 pub use protocol::{

@@ -33,6 +33,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crate::metrics::Counter;
 use crate::obs::Stage;
 use crate::protocol::{error_kind, scan_deadline, scan_request_id, scan_u64_field, Response};
 use crate::service::{SchedulerService, StageContext};
@@ -291,7 +292,8 @@ pub struct PoolHandle {
 impl PoolHandle {
     /// Admission control: enqueues `job` unless the queue is at capacity or
     /// the pool is shutting down, in which case the job is handed back so
-    /// the caller can answer `busy`. Never blocks.
+    /// the caller can answer `busy`. Never blocks. Returns the queue depth
+    /// the job joined (itself included), read under the same lock.
     ///
     /// # Errors
     ///
@@ -299,15 +301,16 @@ impl PoolHandle {
     // The Err variant intentionally hands the whole job back so the caller
     // can answer `busy` with its id and release its in-flight slot.
     #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
+    pub fn try_submit(&self, job: Job) -> Result<usize, Job> {
         let mut state = self.shared.state.lock().expect("solve queue poisoned");
         if state.closed || state.jobs.len() >= self.shared.capacity {
             return Err(job);
         }
         state.jobs.push_back(job);
+        let depth = state.jobs.len();
         drop(state);
         self.shared.available.notify_one();
-        Ok(())
+        Ok(depth)
     }
 
     /// Jobs currently queued (not yet picked up by a solver thread).
@@ -455,7 +458,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
             // answered immediately and never reaches a solver — the whole
             // point of deadline-aware admission. Counted like `busy`
             // (answered but not executed) under the `expired_dropped` metric.
-            service.metrics().record_expired_dropped();
+            service.metrics().add(Counter::ExpiredDropped, 1);
             failure_line(
                 error_kind::DEADLINE_EXCEEDED,
                 "deadline exceeded while queued; no solver time was spent",
@@ -476,7 +479,7 @@ fn solver_loop(shared: &PoolShared, service: &SchedulerService) {
             // instead of hanging.
             catch_unwind(AssertUnwindSafe(|| service.handle(&job.line, &ctx))).unwrap_or_else(
                 |_| {
-                    service.metrics().record_solver_panic();
+                    service.metrics().add(Counter::SolverPanics, 1);
                     failure_line(
                         error_kind::SOLVER_ERROR,
                         "the solver panicked while handling this request",

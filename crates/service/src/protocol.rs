@@ -85,7 +85,7 @@
 //! ```json
 //! {"id": 5, "ok": true, ..., "service_micros": 240,
 //!  "trace": {"queue_us": 12, "solve_us": 190, "render_us": 3,
-//!            "cache": "miss", "lp_pivots": 44}}
+//!            "cache": "miss", "lp_pivots": 44, "warm": false}}
 //! ```
 //!
 //! `queue_us` is time spent in the solve queue, `solve_us` covers cache
@@ -94,8 +94,11 @@
 //! the write and flush cost appears only in the `stats` verb's `flush`
 //! histogram. `cache` reports how the schedule was obtained: `"hit"`,
 //! `"miss"` (fresh solve) or `"coalesced"` (waited on an identical
-//! in-flight solve). Tracing never forks the cache key — a traced and an
-//! untraced request share cached schedules.
+//! in-flight solve). `warm` says whether the LP behind the schedule was
+//! re-solved from a cached basis of a structurally identical instance
+//! rather than from scratch; like `lp_pivots`, a cache hit repeats the
+//! original solve's value. Tracing never forks the cache key — a traced
+//! and an untraced request share cached schedules.
 //!
 //! A line of the form `{"id": 3, "verb": "stats"}` is answered (and not
 //! counted as a scheduling request) with a full metrics snapshot:
@@ -104,6 +107,8 @@
 //! count]` pairs plus `count`/`sum`/`mean`/`p50`/`p90`/`p99`/`p999`),
 //! per-solver counts, solve-queue depth/capacity, per-shard cache
 //! occupancy/hit/miss/eviction counters and the single-flight table size.
+//! The counters and histograms are rendered from the tables in
+//! [`crate::metrics`], which also render `suu_serviced`'s status line.
 //! Unknown verbs are answered `error_kind: "bad_request"`.
 //!
 //! # Protocol v2: deltas against a cached base

@@ -11,9 +11,9 @@ use suu_algorithms::LpBudget;
 use suu_core::SuuInstance;
 use suu_sim::OnlineStats;
 
-use crate::cache::{CacheConfig, CachedSolve, ScheduleCache};
+use crate::cache::{CacheConfig, CachedSolve, ScheduleCache, ShardStats};
 use crate::flight::{Flight, SingleFlight};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{insert_at, Counter, Histogram, ServiceMetrics};
 use crate::obs::Stage;
 use crate::pipeline::{sink_conn_token, Job, PoolHandle, ResponseSink};
 use crate::protocol::{
@@ -159,12 +159,28 @@ fn session_reply(
 struct SolveOutcome {
     instance: SuuInstance,
     solved: CachedSolve,
+    /// The solver behind `solved` (its [`CachedSolve::solver`]).
+    solver: &'static str,
     cache: CacheOutcome,
     /// The dispatched solver's budget ran out and `solved` came from the
     /// serial-baseline fallback instead.
     degraded: bool,
     /// Post-mortem of the exhausted budget on degraded responses.
     budget: Option<BudgetReport>,
+}
+
+impl SolveOutcome {
+    /// The response's `trace` object.
+    fn trace(&self, queue_us: u64, solve_us: u64, render_us: u64) -> TraceReport {
+        TraceReport {
+            queue_us,
+            solve_us,
+            render_us,
+            cache: self.cache.as_wire().to_string(),
+            lp_pivots: self.solved.lp_pivots.unwrap_or(0) as u64,
+            warm: self.solved.lp_warm,
+        }
+    }
 }
 
 /// Service configuration.
@@ -365,117 +381,113 @@ impl SchedulerService {
     /// per response dominates the cost of a cache hit, so it is rendered
     /// once per solve and the bytes are reused. The spliced line parses to
     /// exactly the [`Response`] the struct serialiser would produce.
-    /// Requests that ask for a makespan estimate are rendered from the
-    /// struct instead, since the estimate is computed per request.
+    /// Failures, and requests that ask for a makespan estimate, are rendered
+    /// from the struct instead, since the estimate is computed per request.
     fn respond(&self, request: &Request, id: u64, ctx: &StageContext) -> String {
         let start = Instant::now();
         let options = request.solve_options();
         let directives = Directives::new(&options, ctx.accepted_at);
-        let outcome = match self.solve_flow(request, &directives) {
-            Ok(outcome) => outcome,
+        let rendered = |response: &Response| {
+            let render_start = Instant::now();
+            let line = render_response(response);
+            (line, micros_since(render_start))
+        };
+        // Each branch yields the line, the solver that answered (none for a
+        // failure), the solve and render stages and the reply's
+        // `service_micros`, booked in one place below.
+        let (line, solver, solve_us, render_us, service_micros) = match self
+            .solve_flow(request, &directives)
+        {
             Err(mut failure) => {
                 failure.id = id;
                 failure.service_micros = micros_since(start);
-                self.metrics.record(None, false, failure.service_micros);
-                self.metrics
-                    .record_stage(Stage::Solve, failure.service_micros);
+                let (line, render_us) = rendered(&failure);
+                let micros = failure.service_micros;
+                (line, None, micros, render_us, micros)
+            }
+            Ok(outcome)
+                if request.estimate_trials.is_some_and(|t| t > 0)
+                    || directives.detail == Detail::EstimateOnly =>
+            {
+                // The estimate is skipped when the deadline has already
+                // passed: the client asked for bounded latency, and the
+                // schedule itself is the part it cannot recompute.
+                let estimated_makespan = request
+                    .estimate_trials
+                    .filter(|&trials| trials > 0 && !directives.expired())
+                    .and_then(|trials| {
+                        self.estimate_makespan(
+                            &outcome.instance,
+                            &outcome.solved,
+                            trials.min(self.config.max_estimate_trials),
+                        )
+                    });
+                let micros = micros_since(start);
+                let trace = options
+                    .trace
+                    .then(|| outcome.trace(ctx.queue_us, micros, 0));
+                let response = Response {
+                    id,
+                    ok: true,
+                    error: None,
+                    error_kind: None,
+                    solver: Some(outcome.solved.solver),
+                    cache_hit: outcome.cache.as_cache_hit(),
+                    schedule_len: outcome.solved.schedule.len(),
+                    lp_value: outcome.solved.lp_value,
+                    lp_pivots: outcome.solved.lp_pivots,
+                    lp_micros: outcome.solved.lp_micros,
+                    schedule: Some(outcome.solved.schedule),
+                    estimated_makespan,
+                    service_micros: micros,
+                    degraded: outcome.degraded,
+                    budget: outcome.budget,
+                    trace,
+                }
+                .project(directives.detail);
+                let (line, render_us) = rendered(&response);
+                (line, Some(outcome.solver), micros, render_us, micros)
+            }
+            Ok(outcome) => {
+                let solve_us = micros_since(start);
                 let render_start = Instant::now();
-                let line = render_response(&failure);
-                self.metrics
-                    .record_stage(Stage::Render, micros_since(render_start));
-                return line;
+                let body = match directives.detail {
+                    Detail::NoSchedule => outcome.solved.rendered_body_no_schedule(),
+                    Detail::Full | Detail::EstimateOnly => outcome.solved.rendered_body(),
+                };
+                // The v2 fields are spliced in only when set, so v1
+                // responses keep their exact historical bytes.
+                let mut extra = String::new();
+                if outcome.degraded {
+                    extra.push_str(",\"degraded\":true");
+                }
+                if let Some(budget) = &outcome.budget {
+                    extra.push_str(",\"budget\":");
+                    extra.push_str(
+                        &serde_json::to_string(budget).expect("budget reports serialise"),
+                    );
+                }
+                let render_us = micros_since(render_start);
+                if options.trace {
+                    extra.push_str(",\"trace\":");
+                    extra.push_str(
+                        &serde_json::to_string(&outcome.trace(ctx.queue_us, solve_us, render_us))
+                            .expect("trace reports serialise"),
+                    );
+                }
+                let micros = micros_since(start);
+                let cache_hit = outcome.cache.as_cache_hit();
+                let line = format!(
+                    "{{\"id\":{id},\"ok\":true,\"error\":null,\"error_kind\":null,{body},\
+                         \"cache_hit\":{cache_hit},\"estimated_makespan\":null,\
+                         \"service_micros\":{micros}{extra}}}"
+                );
+                (line, Some(outcome.solver), solve_us, render_us, micros)
             }
         };
-        let trace = |solve_us, render_us| TraceReport {
-            queue_us: ctx.queue_us,
-            solve_us,
-            render_us,
-            cache: outcome.cache.as_wire().to_string(),
-            lp_pivots: outcome.solved.lp_pivots.unwrap_or(0) as u64,
-            warm: outcome.solved.lp_warm,
-        };
-
-        if request.estimate_trials.is_some_and(|t| t > 0)
-            || directives.detail == Detail::EstimateOnly
-        {
-            // The estimate is skipped when the deadline has already passed:
-            // the client asked for bounded latency, and the schedule itself
-            // is the part it cannot recompute.
-            let estimated_makespan = request
-                .estimate_trials
-                .filter(|&trials| trials > 0 && !directives.expired())
-                .and_then(|trials| {
-                    self.estimate_makespan(
-                        &outcome.instance,
-                        &outcome.solved,
-                        trials.min(self.config.max_estimate_trials),
-                    )
-                });
-            let micros = micros_since(start);
-            self.metrics.record_stage(Stage::Solve, micros);
-            self.metrics
-                .record(Some(&outcome.solved.solver), true, micros);
-            let response = Response {
-                id,
-                ok: true,
-                error: None,
-                error_kind: None,
-                solver: Some(outcome.solved.solver.clone()),
-                cache_hit: outcome.cache.as_cache_hit(),
-                schedule_len: outcome.solved.schedule.len(),
-                lp_value: outcome.solved.lp_value,
-                lp_pivots: outcome.solved.lp_pivots,
-                lp_micros: outcome.solved.lp_micros,
-                schedule: Some(outcome.solved.schedule),
-                estimated_makespan,
-                service_micros: micros,
-                degraded: outcome.degraded,
-                budget: outcome.budget,
-                trace: options.trace.then(|| trace(micros, 0)),
-            }
-            .project(directives.detail);
-            let render_start = Instant::now();
-            let line = render_response(&response);
-            self.metrics
-                .record_stage(Stage::Render, micros_since(render_start));
-            return line;
-        }
-
-        let solve_us = micros_since(start);
-        self.metrics.record_stage(Stage::Solve, solve_us);
-        let render_start = Instant::now();
-        let body = match directives.detail {
-            Detail::NoSchedule => outcome.solved.rendered_body_no_schedule(),
-            Detail::Full | Detail::EstimateOnly => outcome.solved.rendered_body(),
-        };
-        // The v2 fields are spliced in only when set, so v1 responses keep
-        // their exact historical bytes.
-        let mut extra = String::new();
-        if outcome.degraded {
-            extra.push_str(",\"degraded\":true");
-        }
-        if let Some(budget) = &outcome.budget {
-            extra.push_str(",\"budget\":");
-            extra.push_str(&serde_json::to_string(budget).expect("budget reports serialise"));
-        }
-        let render_us = micros_since(render_start);
-        self.metrics.record_stage(Stage::Render, render_us);
-        if options.trace {
-            extra.push_str(",\"trace\":");
-            extra.push_str(
-                &serde_json::to_string(&trace(solve_us, render_us))
-                    .expect("trace reports serialise"),
-            );
-        }
-        let micros = micros_since(start);
         self.metrics
-            .record(Some(&outcome.solved.solver), true, micros);
-        let cache_hit = outcome.cache.as_cache_hit();
-        format!(
-            "{{\"id\":{id},\"ok\":true,\"error\":null,\"error_kind\":null,{body},\
-             \"cache_hit\":{cache_hit},\"estimated_makespan\":null,\
-             \"service_micros\":{micros}{extra}}}"
-        )
+            .record_reply(solver, solve_us, render_us, service_micros);
+        line
     }
 
     /// The validate → dispatch → lookup/solve flow behind every response.
@@ -529,6 +541,7 @@ impl SchedulerService {
             Ok((solved, cache)) => Ok(SolveOutcome {
                 instance,
                 solved,
+                solver: solver.name(),
                 cache,
                 degraded: false,
                 budget: None,
@@ -561,6 +574,7 @@ impl SchedulerService {
                     Ok((solved, cache)) => Ok(SolveOutcome {
                         instance,
                         solved,
+                        solver: fallback.name(),
                         cache,
                         degraded: true,
                         budget: failure.budget,
@@ -613,7 +627,7 @@ impl SchedulerService {
             match self.cache.lookup_base(digest) {
                 Some(parent) => parent,
                 None => {
-                    self.metrics.record_unknown_base();
+                    self.metrics.add(Counter::UnknownBase, 1);
                     return Err(Response::failure_with(
                         request.id,
                         error_kind::UNKNOWN_BASE,
@@ -718,12 +732,12 @@ impl SchedulerService {
             }
             CachePolicy::Default => {}
         }
-        let key = (instance.canonical_digest(), solver.name().to_string());
+        let key = (instance.canonical_digest(), solver.name());
         let mut retries = 0;
         loop {
             match self
                 .flight
-                .begin(key.clone(), || self.cache.get(instance, solver.name()))
+                .begin(key, || self.cache.get(instance, solver.name()))
             {
                 Ok(hit) => return Ok((hit, CacheOutcome::Hit)),
                 Err(Flight::Lead(guard)) => {
@@ -734,7 +748,7 @@ impl SchedulerService {
                     return result.map(|solved| (solved, CacheOutcome::Miss));
                 }
                 Err(Flight::Follow(flight)) => {
-                    self.metrics.record_coalesced();
+                    self.metrics.add(Counter::Coalesced, 1);
                     // Followers inherit the leader's outcome — including a
                     // budget exhaustion under the *leader's* limits. Budgets
                     // don't fork the flight key (a success is bit-identical
@@ -797,12 +811,12 @@ impl SchedulerService {
         };
         match solver.solve(instance, limits, donor) {
             Ok(mut output) => {
-                self.metrics.record_fresh_solve();
-                if output.lp_warm {
-                    self.metrics.record_warm_hit();
-                }
+                self.metrics.add(Counter::FreshSolves, 1);
+                self.metrics
+                    .add(Counter::WarmHits, u64::from(output.lp_warm));
                 if let (Some(pivots), Some(micros)) = (output.lp_pivots, output.lp_micros) {
-                    self.metrics.record_lp(pivots, micros);
+                    self.metrics.add(Counter::LpPivots, pivots as u64);
+                    self.metrics.record(Histogram::LpMicros, micros);
                 }
                 if self.config.warm_starts {
                     if let Some(donor) = output.donor.take() {
@@ -911,7 +925,7 @@ impl SchedulerService {
     /// Idle-TTL housekeeping, run opportunistically on every session verb.
     fn sweep_sessions(&self) {
         let evicted = self.sessions.sweep_idle();
-        self.metrics.record_sessions_evicted(evicted);
+        self.metrics.add(Counter::SessionsEvicted, evicted);
     }
 
     /// Answers an event or close for a session whose state lock a panic
@@ -920,9 +934,18 @@ impl SchedulerService {
     /// and is reported unknown, like one that idled out. Every later verb
     /// on it gets the same answer from the table lookup.
     fn poisoned_session_failure(&self, id: u64, session: u64) -> String {
-        self.metrics.record_sessions_evicted(1);
-        self.metrics.record_unknown_session();
+        self.metrics.add(Counter::SessionsEvicted, 1);
+        self.metrics.add(Counter::UnknownSession, 1);
         render_response(&unknown_session_failure(id, session))
+    }
+
+    /// Books one schedule revision served to a session, timed from `start`;
+    /// `warm` says whether its suffix re-solve started warm.
+    fn record_revision(&self, start: Instant, warm: bool) {
+        self.metrics.add(Counter::Revisions, 1);
+        self.metrics.add(Counter::RevisionWarmHits, u64::from(warm));
+        self.metrics
+            .record(Histogram::RevisionLatency, micros_since(start));
     }
 
     /// Evicts every session owned by connection token `conn` — called by the
@@ -930,7 +953,7 @@ impl SchedulerService {
     /// their client instead of leaking until the idle TTL.
     fn evict_connection_sessions(&self, conn: u64) {
         let evicted = self.sessions.evict_connection(conn);
-        self.metrics.record_sessions_evicted(evicted);
+        self.metrics.add(Counter::SessionsEvicted, evicted);
     }
 
     /// The session revision solve: forced `SUU-C` (the warm-capable solver
@@ -1004,8 +1027,7 @@ impl SchedulerService {
             Ok(solved) => solved,
             Err(failure) => return render_response(&failure),
         };
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record_revision(micros, solved.lp_warm);
+        self.record_revision(start, solved.lp_warm);
         let unfinished = instance.num_jobs() as u64;
         let machines = instance.num_machines() as u64;
         let Some(session) = self.sessions.open(conn, SessionState::new(instance)) else {
@@ -1018,7 +1040,7 @@ impl SchedulerService {
                 ),
             ));
         };
-        self.metrics.record_session_opened();
+        self.metrics.add(Counter::SessionsOpened, 1);
         SessionReply {
             id,
             session,
@@ -1049,7 +1071,7 @@ impl SchedulerService {
             }
         };
         let Some(entry) = self.sessions.get(event.session) else {
-            self.metrics.record_unknown_session();
+            self.metrics.add(Counter::UnknownSession, 1);
             return render_response(&unknown_session_failure(id, event.session));
         };
         // Events within a session serialise on the state lock; the pipelined
@@ -1142,8 +1164,7 @@ impl SchedulerService {
             Ok(solved) => solved,
             Err(failure) => return render_response(&failure),
         };
-        let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.record_revision(micros, solved.lp_warm);
+        self.record_revision(start, solved.lp_warm);
         state.completed += newly_done;
         state.current = candidate;
         state.job_map = next_job_map;
@@ -1175,13 +1196,13 @@ impl SchedulerService {
             ));
         };
         let Some(entry) = self.sessions.close(session) else {
-            self.metrics.record_unknown_session();
+            self.metrics.add(Counter::UnknownSession, 1);
             return render_response(&unknown_session_failure(id, session));
         };
         let Some(state) = entry.lock() else {
             return self.poisoned_session_failure(id, session);
         };
-        self.metrics.record_session_closed();
+        self.metrics.add(Counter::SessionsClosed, 1);
         Value::Object(vec![
             ("id".to_string(), Value::Number(id as f64)),
             ("ok".to_string(), Value::Bool(true)),
@@ -1217,131 +1238,43 @@ impl SchedulerService {
     }
 
     /// Renders the `stats` verb response: `{"id": N, "ok": true, "stats":
-    /// {...}}` with the full metrics snapshot (see the protocol docs).
+    /// {...}}` (see the protocol docs). The metrics tables render
+    /// themselves (see [`MetricsSnapshot`]); the per-shard cache counters,
+    /// the single-flight table size and the open sessions are read from the
+    /// structures that hold them.
+    ///
+    /// [`MetricsSnapshot`]: crate::metrics::MetricsSnapshot
     fn stats_response_line(&self, id: u64) -> String {
+        let mut stats = self.metrics.snapshot().stats_fields();
+        let shards = self.cache.shard_stats();
+        let shard_fields = |s: &ShardStats| {
+            vec![
+                ("entries".to_string(), s.entries.to_value()),
+                ("hits".to_string(), s.hits.to_value()),
+                ("misses".to_string(), s.misses.to_value()),
+                ("evictions".to_string(), s.evictions.to_value()),
+            ]
+        };
+        let total = ShardStats {
+            entries: shards.iter().map(|s| s.entries).sum(),
+            hits: shards.iter().map(|s| s.hits).sum(),
+            misses: shards.iter().map(|s| s.misses).sum(),
+            evictions: shards.iter().map(|s| s.evictions).sum(),
+        };
+        let mut cache = shard_fields(&total);
+        let shards = shards.iter().map(|s| Value::Object(shard_fields(s)));
+        cache.push(("shards".to_string(), Value::Array(shards.collect())));
+        stats.push(("cache".to_string(), Value::Object(cache)));
+        let in_flight = self.flight.in_flight().to_value();
+        stats.push(("flight_in_flight".to_string(), in_flight));
+        let open = (self.sessions.len() as u64).to_value();
+        insert_at(&mut stats, &["sessions", "open"], open);
         Value::Object(vec![
             ("id".to_string(), id.to_value()),
             ("ok".to_string(), true.to_value()),
-            ("stats".to_string(), self.stats_value()),
+            ("stats".to_string(), Value::Object(stats)),
         ])
         .render()
-    }
-
-    /// The full observability snapshot behind the `stats` verb, as a JSON
-    /// value: request/error counters, per-stage latency histograms, LP
-    /// effort, solve-queue gauges, per-solver counts, per-shard cache
-    /// counters and the single-flight table size.
-    fn stats_value(&self) -> Value {
-        let snap = self.metrics.snapshot();
-        let shards = self.cache.shard_stats();
-        let cache_entries: u64 = shards.iter().map(|s| s.entries).sum();
-        let stages = Value::Object(
-            snap.stages
-                .iter()
-                .map(|(stage, hist)| (stage.name().to_string(), hist.to_value()))
-                .collect(),
-        );
-        let per_solver = Value::Object(
-            snap.per_solver
-                .iter()
-                .map(|(name, count)| (name.clone(), count.to_value()))
-                .collect(),
-        );
-        let shard_values = Value::Array(
-            shards
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("entries".to_string(), s.entries.to_value()),
-                        ("hits".to_string(), s.hits.to_value()),
-                        ("misses".to_string(), s.misses.to_value()),
-                        ("evictions".to_string(), s.evictions.to_value()),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("uptime_us".to_string(), snap.uptime_micros.to_value()),
-            ("requests".to_string(), snap.requests.to_value()),
-            ("errors".to_string(), snap.errors.to_value()),
-            (
-                "busy_rejections".to_string(),
-                snap.busy_rejections.to_value(),
-            ),
-            (
-                "expired_dropped".to_string(),
-                snap.expired_dropped.to_value(),
-            ),
-            ("solver_panics".to_string(), snap.solver_panics.to_value()),
-            ("fresh_solves".to_string(), snap.fresh_solves.to_value()),
-            ("warm_hits".to_string(), snap.warm_hits.to_value()),
-            ("unknown_base".to_string(), snap.unknown_base.to_value()),
-            ("coalesced".to_string(), snap.coalesced.to_value()),
-            ("latency_us".to_string(), snap.latency_micros.to_value()),
-            (
-                "lp".to_string(),
-                Value::Object(vec![
-                    ("pivots".to_string(), snap.lp_pivots.to_value()),
-                    ("solves".to_string(), snap.lp_micros.count().to_value()),
-                    ("micros".to_string(), snap.lp_micros.to_value()),
-                ]),
-            ),
-            ("stages".to_string(), stages),
-            (
-                "queue".to_string(),
-                Value::Object(vec![
-                    ("depth".to_string(), snap.queue_depth.to_value()),
-                    ("capacity".to_string(), snap.queue_capacity.to_value()),
-                    (
-                        "depth_samples".to_string(),
-                        snap.queue_depth_samples.to_value(),
-                    ),
-                ]),
-            ),
-            ("per_solver".to_string(), per_solver),
-            (
-                "cache".to_string(),
-                Value::Object(vec![
-                    ("entries".to_string(), cache_entries.to_value()),
-                    (
-                        "hits".to_string(),
-                        shards.iter().map(|s| s.hits).sum::<u64>().to_value(),
-                    ),
-                    (
-                        "misses".to_string(),
-                        shards.iter().map(|s| s.misses).sum::<u64>().to_value(),
-                    ),
-                    (
-                        "evictions".to_string(),
-                        shards.iter().map(|s| s.evictions).sum::<u64>().to_value(),
-                    ),
-                    ("shards".to_string(), shard_values),
-                ]),
-            ),
-            (
-                "flight_in_flight".to_string(),
-                self.flight.in_flight().to_value(),
-            ),
-            (
-                "sessions".to_string(),
-                Value::Object(vec![
-                    ("open".to_string(), (self.sessions.len() as u64).to_value()),
-                    ("opened".to_string(), snap.sessions_opened.to_value()),
-                    ("closed".to_string(), snap.sessions_closed.to_value()),
-                    ("evicted".to_string(), snap.sessions_evicted.to_value()),
-                    ("revisions".to_string(), snap.revisions.to_value()),
-                    (
-                        "revision_warm_hits".to_string(),
-                        snap.revision_warm_hits.to_value(),
-                    ),
-                    ("unknown".to_string(), snap.unknown_session.to_value()),
-                    (
-                        "revision_latency_us".to_string(),
-                        snap.revision_latency.to_value(),
-                    ),
-                ]),
-            ),
-        ])
     }
 
     /// Serves NDJSON requests from `input` until EOF — the stdin/stdout
@@ -1370,7 +1303,8 @@ impl SchedulerService {
     ) -> std::io::Result<()> {
         let sink = ResponseSink::new(output);
         let conn = sink_conn_token(&sink);
-        self.metrics.set_queue_capacity(pool.capacity() as u64);
+        self.metrics
+            .set(Counter::QueueCapacity, pool.capacity() as u64);
         loop {
             if sink.failed() {
                 sink.wait_drained();
@@ -1398,15 +1332,16 @@ impl SchedulerService {
                     // interned-line cache); the reader only tags and
                     // enqueues, so it can never fall behind the socket.
                     match pool.try_submit(Job::from_line(line, &sink)) {
-                        Ok(()) => {
+                        Ok(depth) => {
                             // One queue-depth sample per accepted submission
                             // feeds the depth gauge and its histogram.
-                            self.metrics.record_queue_depth(pool.queue_depth() as u64);
+                            self.metrics.set(Counter::QueueDepth, depth as u64);
+                            self.metrics.record(Histogram::QueueDepth, depth as u64);
                         }
                         Err(job) => {
                             let id = job.id_hint();
                             drop(job); // releases the in-flight slot
-                            self.metrics.record_busy();
+                            self.metrics.add(Counter::BusyRejections, 1);
                             sink.write_response_now(&Response::busy(id));
                         }
                     }
@@ -1579,8 +1514,8 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.lp_pivots, Some(pivots));
         let snap = svc.metrics().snapshot();
-        assert_eq!(snap.lp_pivots, pivots as u64);
-        assert_eq!(snap.lp_micros.count(), 1);
+        assert_eq!(snap.counter(Counter::LpPivots), pivots as u64);
+        assert_eq!(snap.histogram(Histogram::LpMicros).count(), 1);
     }
 
     #[test]
@@ -1723,7 +1658,7 @@ mod tests {
         assert!(first.ok && !first.cache_hit);
         assert!(!garbage.ok);
         assert!(third.ok && third.cache_hit);
-        assert_eq!(svc.metrics().snapshot().requests, 2);
+        assert_eq!(svc.metrics().counter(Counter::Requests), 2);
     }
 
     fn chain_instance(seed: u64) -> suu_core::SuuInstance {
@@ -1781,7 +1716,7 @@ mod tests {
             missing.error_kind.as_deref(),
             Some(error_kind::UNKNOWN_BASE)
         );
-        assert_eq!(svc.metrics().snapshot().unknown_base, 1);
+        assert_eq!(svc.metrics().counter(Counter::UnknownBase), 1);
 
         let mut malformed = Request::from_delta(8, 0, InstanceDelta::default());
         malformed.base_digest = Some("NOT-A-DIGEST".to_string());
@@ -1839,7 +1774,7 @@ mod tests {
             warm.trace.as_ref().unwrap().warm,
             "structural repeat should warm-start"
         );
-        assert_eq!(svc.metrics().snapshot().warm_hits, 1);
+        assert_eq!(svc.metrics().counter(Counter::WarmHits), 1);
 
         // With warm starts disabled the same traffic stays cold.
         let cold_svc = SchedulerService::new(ServiceConfig {
@@ -1853,7 +1788,7 @@ mod tests {
             assert!(resp.ok);
             assert!(!resp.trace.as_ref().unwrap().warm);
         }
-        assert_eq!(cold_svc.metrics().snapshot().warm_hits, 0);
+        assert_eq!(cold_svc.metrics().counter(Counter::WarmHits), 0);
 
         // Warm and cold services computed identical artifacts.
         let warm_line = handle(&svc, &{

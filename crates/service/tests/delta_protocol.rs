@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use suu_core::{InstanceBuilder, InstanceDelta, SuuInstance};
 use suu_service::{
-    digest_to_wire, error_kind, spawn_tcp, Detail, EngineChoice, MetricsSnapshot, Request,
+    digest_to_wire, error_kind, spawn_tcp, Counter, Detail, EngineChoice, MetricsSnapshot, Request,
     Response, SchedulerService, ServiceConfig, ServiceHandle, SolveOptions, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
@@ -136,7 +136,7 @@ fn delta_against_a_warm_cache(options: SolveOptions) {
         "the drifted re-solve starts from the parent's basis ({options:?})"
     );
     assert_eq!(
-        handle.service().metrics().warm_hits(),
+        handle.service().metrics().counter(Counter::WarmHits),
         1,
         "{options:?}: exactly the delta warm-started"
     );
@@ -411,14 +411,28 @@ fn warm_comparison_meets_the_floor_and_agrees_on_objectives() {
     for _ in 0..3 {
         let (cold_rps, cold) = run_drift(400, seed, false);
         let (warm_rps, warm) = run_drift(400, seed, true);
-        assert_eq!(cold.unknown_base, 0, "primed bases must resolve");
-        assert_eq!(warm.unknown_base, 0, "primed bases must resolve");
-        assert_eq!(cold.warm_hits, 0, "cold arm must never warm-start");
+        assert_eq!(
+            cold.counter(Counter::UnknownBase),
+            0,
+            "primed bases must resolve"
+        );
+        assert_eq!(
+            warm.counter(Counter::UnknownBase),
+            0,
+            "primed bases must resolve"
+        );
+        assert_eq!(
+            cold.counter(Counter::WarmHits),
+            0,
+            "cold arm must never warm-start"
+        );
+        let (warm_hits, fresh_solves) = (
+            warm.counter(Counter::WarmHits),
+            warm.counter(Counter::FreshSolves),
+        );
         assert!(
-            warm.warm_hits * 2 > warm.fresh_solves,
-            "the warm arm should warm-start most fresh solves ({} of {})",
-            warm.warm_hits,
-            warm.fresh_solves
+            warm_hits * 2 > fresh_solves,
+            "the warm arm should warm-start most fresh solves ({warm_hits} of {fresh_solves})"
         );
         ratios.push(warm_rps / cold_rps);
         if warm_rps >= 5.0 * cold_rps {

@@ -15,8 +15,8 @@ use suu_algorithms::{AlgorithmError, LpBudget};
 use suu_core::{InstanceBuilder, SuuInstance};
 use suu_lp::WarmStart;
 use suu_service::{
-    error_kind, open_session_line, spawn_tcp, PipelineConfig, Request, Response, SchedulerService,
-    ServiceConfig, SolveOutput, Solver, SolverRegistry, TcpServerConfig,
+    error_kind, open_session_line, spawn_tcp, Counter, PipelineConfig, Request, Response,
+    SchedulerService, ServiceConfig, SolveOutput, Solver, SolverRegistry, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -101,13 +101,18 @@ fn n_threads_on_k_instances_trigger_exactly_k_fresh_solves() {
     // served from the flight table or the cache.
     let snapshot = service.metrics().snapshot();
     assert_eq!(
-        snapshot.fresh_solves, K as u64,
+        snapshot.counter(Counter::FreshSolves),
+        K as u64,
         "duplicate concurrent requests must coalesce onto one solve \
          (coalesced={}, requests={})",
-        snapshot.coalesced, snapshot.requests
+        snapshot.counter(Counter::Coalesced),
+        snapshot.counter(Counter::Requests)
     );
-    assert_eq!(snapshot.errors, 0);
-    assert_eq!(snapshot.requests, (THREADS * ROUNDS * 2) as u64);
+    assert_eq!(snapshot.counter(Counter::Errors), 0);
+    assert_eq!(
+        snapshot.counter(Counter::Requests),
+        (THREADS * ROUNDS * 2) as u64
+    );
     assert_eq!(service.cache().len(), K);
 
     // No poisoned locks: the service still serves.
@@ -194,7 +199,7 @@ fn panicking_solver_is_answered_and_the_thread_survives() {
         .expect("the solver thread survives to answer the next request");
     assert_eq!(second.id, 2);
     assert!(second.ok, "error: {:?}", second.error);
-    assert_eq!(service.metrics().solver_panics(), 1);
+    assert_eq!(service.metrics().counter(Counter::SolverPanics), 1);
     drop(writer);
     server.shutdown();
 }
@@ -301,7 +306,7 @@ fn a_session_poisoned_by_a_panic_is_evicted() {
     assert_eq!(kind(&panicked).as_deref(), Some(error_kind::SOLVER_ERROR));
     let after = next();
     assert_eq!(kind(&after).as_deref(), Some(error_kind::UNKNOWN_SESSION));
-    assert_eq!(service.metrics().solver_panics(), 1);
+    assert_eq!(service.metrics().counter(Counter::SolverPanics), 1);
     assert!(
         service.sessions().is_empty(),
         "the poisoned session is evicted"
@@ -367,7 +372,7 @@ fn admission_control_rejects_with_busy_and_connection_survives() {
     );
     assert!(busy > 0, "a 2-slot queue must reject part of a 64-burst");
     assert!(ok > 0, "accepted requests still complete");
-    assert_eq!(service.metrics().busy_rejections(), busy);
+    assert_eq!(service.metrics().counter(Counter::BusyRejections), busy);
 
     // Same connection, after the storm: normal service.
     let calm = Request::from_instance(9_000, &chain_instance(0xCA1A));

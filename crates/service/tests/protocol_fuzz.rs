@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use suu_core::InstanceBuilder;
 use suu_service::{
-    error_kind, spawn_tcp, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    SolverPool, TcpServerConfig,
+    error_kind, spawn_tcp, Counter, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, SolverPool, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -153,8 +153,9 @@ fn stdin_pipelined_survives_the_malformed_corpus() {
     // Lines that parse as requests but fail validation are counted as
     // errors; pure protocol noise is answered without entering the metrics.
     let snap = svc.metrics().snapshot();
-    assert!(snap.errors >= 1 && (snap.errors as usize) <= expect_bad);
-    assert_eq!(snap.requests - snap.errors, expect_ok as u64);
+    let errors = snap.counter(Counter::Errors);
+    assert!(errors >= 1 && (errors as usize) <= expect_bad);
+    assert_eq!(snap.counter(Counter::Requests) - errors, expect_ok as u64);
 
     // The workers survived: a fresh request still gets served.
     let after: Response =

@@ -20,8 +20,8 @@ use rand_chacha::ChaCha8Rng;
 use suu_core::{InstanceBuilder, JobId, SuuInstance};
 use suu_graph::Dag;
 use suu_service::{
-    spawn_tcp, MetricsSnapshot, PipelineConfig, Request, Response, SchedulerService, ServiceConfig,
-    ServiceHandle, TcpServerConfig,
+    spawn_tcp, Counter, MetricsSnapshot, PipelineConfig, Request, Response, SchedulerService,
+    ServiceConfig, ServiceHandle, TcpServerConfig,
 };
 use suu_workloads::uniform_matrix;
 
@@ -170,8 +170,8 @@ fn concurrent_clients_get_valid_schedules_and_cache_hits() {
     assert!(repeat.cache_hit, "repeated instance must hit the cache");
 
     let snapshot = handle.service().metrics().snapshot();
-    assert_eq!(snapshot.requests, 25);
-    assert_eq!(snapshot.errors, 0);
+    assert_eq!(snapshot.counter(Counter::Requests), 25);
+    assert_eq!(snapshot.counter(Counter::Errors), 0);
     assert!(handle.service().cache().hits() >= 13);
     handle.shutdown();
 }
@@ -243,10 +243,11 @@ fn assert_pipelining_matches_the_baseline(total_requests: usize, seed: u64) -> f
         "both arms must return identical response payloads modulo ordering"
     );
     assert!(
-        pipelined_metrics.fresh_solves <= baseline_metrics.fresh_solves,
+        pipelined_metrics.counter(Counter::FreshSolves)
+            <= baseline_metrics.counter(Counter::FreshSolves),
         "coalescing must not increase fresh solves ({} vs {})",
-        pipelined_metrics.fresh_solves,
-        baseline_metrics.fresh_solves
+        pipelined_metrics.counter(Counter::FreshSolves),
+        baseline_metrics.counter(Counter::FreshSolves)
     );
     pipelined_rps
 }

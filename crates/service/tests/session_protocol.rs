@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use serde::Value;
 use suu_core::{InstanceDelta, SuuInstance};
 use suu_service::{
-    digest_to_wire, drive_session, open_session_line, spawn_tcp, DriveConfig, PipelineConfig,
-    SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
+    digest_to_wire, drive_session, open_session_line, spawn_tcp, Counter, DriveConfig,
+    PipelineConfig, SchedulerService, ServiceConfig, SolverPool, TcpServerConfig,
 };
 use suu_workloads::machine_failure_scenario;
 
@@ -296,8 +296,8 @@ fn concurrent_sessions_fan_out_over_tcp() {
     }
     assert_eq!(sessions.len(), 2, "sessions must get distinct ids");
     let snapshot = handle.service().metrics().snapshot();
-    assert_eq!(snapshot.sessions_opened, 2);
-    assert_eq!(snapshot.sessions_closed, 2);
+    assert_eq!(snapshot.counter(Counter::SessionsOpened), 2);
+    assert_eq!(snapshot.counter(Counter::SessionsClosed), 2);
     assert!(
         handle.service().sessions().is_empty(),
         "all sessions closed"
@@ -316,7 +316,11 @@ fn disconnect_evicts_sessions_on_both_modes() {
     let service = Arc::new(SchedulerService::new(ServiceConfig::default()));
     let replies = serve_stdin(&service, std::slice::from_ref(&open_line));
     assert_eq!(replies[0].get("ok"), Some(&Value::Bool(true)), "stdin");
-    assert_eq!(service.metrics().snapshot().sessions_evicted, 1, "stdin");
+    assert_eq!(
+        service.metrics().counter(Counter::SessionsEvicted),
+        1,
+        "stdin"
+    );
     assert!(service.sessions().is_empty(), "stdin");
 
     // TCP: the client drops the connection after the open.
@@ -335,7 +339,7 @@ fn disconnect_evicts_sessions_on_both_modes() {
     } // connection drops here, without close_session
 
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.service().metrics().snapshot().sessions_evicted == 0 {
+    while handle.service().metrics().counter(Counter::SessionsEvicted) == 0 {
         assert!(
             Instant::now() < deadline,
             "tcp: disconnect never evicted the session"
@@ -365,8 +369,8 @@ fn idle_ttl_evicts_quiet_sessions() {
     .unwrap();
     assert_unknown_session(&reply, "ttl-expired session");
     let snapshot = service.metrics().snapshot();
-    assert_eq!(snapshot.sessions_evicted, 1);
-    assert_eq!(snapshot.unknown_session, 1);
+    assert_eq!(snapshot.counter(Counter::SessionsEvicted), 1);
+    assert_eq!(snapshot.counter(Counter::UnknownSession), 1);
     assert!(service.sessions().is_empty());
 }
 

@@ -17,17 +17,21 @@
 //! * unknown verbs get a structured `bad_request`, not a hung connection;
 //! * the same accounting holds under load: a traced, pipelined run on the
 //!   default solver pool traces every response, and its parse, solve and
-//!   render counts equal the requests sent.
+//!   render counts equal the requests sent;
+//! * the reply keeps its shape: every key path it carries (the ones
+//!   perfbench reads among them) and no other, with counters that agree.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use serde::Value;
+use suu_core::{InstanceBuilder, InstanceDelta};
 use suu_service::{
-    spawn_tcp, PipelineConfig, SchedulerService, ServiceConfig, SolveOptions, SolverPool,
-    TcpServerConfig,
+    open_session_line, spawn_tcp, PipelineConfig, Request, SchedulerService, ServiceConfig,
+    SolveOptions, SolverPool, TcpServerConfig,
 };
+use suu_workloads::uniform_matrix;
 
 mod common;
 use common::{replay, request_pool};
@@ -354,4 +358,205 @@ fn traced_pipelined_run_attributes_every_request() {
             "stage `{stage}` recorded no samples"
         );
     }
+}
+
+/// Walks `path` into `value`.
+fn at<'v>(value: &'v Value, path: &[&str]) -> &'v Value {
+    path.iter().fold(value, |cursor, key| {
+        cursor
+            .get(key)
+            .unwrap_or_else(|| panic!("missing key `{key}` on path {path:?}"))
+    })
+}
+
+/// The keys of the object at `path`, sorted.
+fn keys(value: &Value, path: &[&str]) -> Vec<String> {
+    match at(value, path) {
+        Value::Object(fields) => {
+            let mut keys: Vec<String> = fields.iter().map(|(key, _)| key.clone()).collect();
+            keys.sort();
+            keys
+        }
+        other => panic!("{path:?} is not an object: {other:?}"),
+    }
+}
+
+/// Mixed requests, a failing one, a delta and one session (open, event,
+/// close) through one in-process service, then a single `stats` scrape.
+/// The reply carries exactly the key paths below — among them the 14
+/// counters and 7 histograms perfbench's `server.rs` reads — and its
+/// counters agree with each other.
+#[test]
+fn stats_reply_keeps_its_shape_and_its_counters_agree() {
+    let service = SchedulerService::new(ServiceConfig::default());
+    let ask = |line: &str| serde_json::parse(&service.handle_line(line)).expect("replies parse");
+    for request in request_pool("mixed", 12, 0x5747) {
+        let reply = ask(&serde_json::to_string(&request).expect("requests serialise"));
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply:?}");
+    }
+    let base = InstanceBuilder::new(6, 3)
+        .probability_matrix(uniform_matrix(6, 3, 0.3, 0.9, 5))
+        .chains(&[vec![0, 1, 2], vec![3, 4, 5]])
+        .build()
+        .expect("valid instance");
+    let mut unknown_solver = Request::from_instance(40, &base);
+    unknown_solver.solver = Some("warp-drive".to_string());
+    let delta = InstanceDelta {
+        set_prob: vec![(1, 2, 0.66)],
+        ..InstanceDelta::default()
+    };
+    for (request, ok) in [
+        (unknown_solver, false),
+        (Request::from_instance(41, &base), true),
+        (
+            Request::from_delta(42, base.canonical_digest(), delta),
+            true,
+        ),
+    ] {
+        let reply = ask(&serde_json::to_string(&request).expect("requests serialise"));
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(ok)), "{reply:?}");
+    }
+    let opened = ask(&open_session_line(50, &base));
+    let session = number(&opened, &["session"]);
+    for line in [
+        format!("{{\"id\":51,\"verb\":\"session_event\",\"session\":{session},\"completed\":[0]}}"),
+        format!("{{\"id\":52,\"verb\":\"close_session\",\"session\":{session}}}"),
+    ] {
+        let reply = ask(&line);
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{reply:?}");
+    }
+    let stats = at(
+        &ask(&format!("{{\"id\":{STATS_ID},\"verb\":\"stats\"}}")),
+        &["stats"],
+    )
+    .clone();
+
+    let histogram_keys = [
+        "buckets", "count", "max", "mean", "p50", "p90", "p99", "p999", "sum",
+    ];
+    let histograms: [&[&str]; 9] = [
+        &["latency_us"],
+        &["lp", "micros"],
+        &["queue", "depth_samples"],
+        &["sessions", "revision_latency_us"],
+        &["stages", "queue"],
+        &["stages", "parse"],
+        &["stages", "solve"],
+        &["stages", "render"],
+        &["stages", "flush"],
+    ];
+    for path in histograms {
+        assert_eq!(keys(&stats, path), histogram_keys, "histogram {path:?}");
+    }
+    let objects: [(&[&str], &[&str]); 6] = [
+        (
+            &[],
+            &[
+                "busy_rejections",
+                "cache",
+                "coalesced",
+                "errors",
+                "expired_dropped",
+                "flight_in_flight",
+                "fresh_solves",
+                "latency_us",
+                "lp",
+                "per_solver",
+                "queue",
+                "requests",
+                "sessions",
+                "solver_panics",
+                "stages",
+                "unknown_base",
+                "uptime_us",
+                "warm_hits",
+            ],
+        ),
+        (&["lp"], &["micros", "pivots", "solves"]),
+        (&["queue"], &["capacity", "depth", "depth_samples"]),
+        (&["stages"], &["flush", "parse", "queue", "render", "solve"]),
+        (
+            &["cache"],
+            &["entries", "evictions", "hits", "misses", "shards"],
+        ),
+        (
+            &["sessions"],
+            &[
+                "closed",
+                "evicted",
+                "open",
+                "opened",
+                "revision_latency_us",
+                "revision_warm_hits",
+                "revisions",
+                "unknown",
+            ],
+        ),
+    ];
+    for (path, expected) in objects {
+        assert_eq!(keys(&stats, path), expected, "object {path:?}");
+    }
+    match at(&stats, &["cache", "shards"]) {
+        Value::Array(shards) => {
+            assert!(!shards.is_empty());
+            for shard in shards {
+                assert_eq!(keys(shard, &[]), ["entries", "evictions", "hits", "misses"]);
+            }
+        }
+        other => panic!("cache.shards is not an array: {other:?}"),
+    }
+    // Every number a path above names as one (the rest are histograms).
+    for path in [
+        &["uptime_us"][..],
+        &["requests"],
+        &["errors"],
+        &["busy_rejections"],
+        &["expired_dropped"],
+        &["solver_panics"],
+        &["fresh_solves"],
+        &["warm_hits"],
+        &["unknown_base"],
+        &["coalesced"],
+        &["lp", "pivots"],
+        &["lp", "solves"],
+        &["queue", "depth"],
+        &["queue", "capacity"],
+        &["cache", "entries"],
+        &["cache", "hits"],
+        &["cache", "misses"],
+        &["cache", "evictions"],
+        &["flight_in_flight"],
+        &["sessions", "open"],
+        &["sessions", "opened"],
+        &["sessions", "closed"],
+        &["sessions", "evicted"],
+        &["sessions", "revisions"],
+        &["sessions", "revision_warm_hits"],
+        &["sessions", "unknown"],
+    ] {
+        number(&stats, path);
+    }
+
+    // The counters agree: every handled request was answered by one solver
+    // or failed, and warm starts are a subset of the solves they started.
+    let count = |path: &[&str]| number(&stats, path) as u64;
+    let Value::Object(per_solver) = at(&stats, &["per_solver"]) else {
+        panic!("per_solver is not an object");
+    };
+    let answered: u64 = per_solver
+        .iter()
+        .map(|(solver, _)| count(&["per_solver", solver]))
+        .sum();
+    assert!(count(&["errors"]) >= 1, "the unknown solver failed");
+    assert_eq!(answered + count(&["errors"]), count(&["requests"]));
+    assert!(count(&["warm_hits"]) >= 1, "the delta started warm");
+    assert!(count(&["warm_hits"]) <= count(&["fresh_solves"]));
+    assert!(
+        count(&["sessions", "revisions"]) >= 2,
+        "revision 0 and the event"
+    );
+    assert!(count(&["sessions", "revision_warm_hits"]) <= count(&["sessions", "revisions"]));
+    assert_eq!(count(&["sessions", "opened"]), 1);
+    assert_eq!(count(&["sessions", "closed"]), 1);
+    assert_eq!(count(&["sessions", "open"]), 0);
 }

@@ -92,8 +92,9 @@ fn main() {
         println!();
     }
 
-    // 4. Show the service-side view: metrics and cache statistics.
-    print!("{}", service.metrics().snapshot().render());
+    // 4. Show the service-side view: the status line (every counter, named
+    //    by its `stats` key path) and cache statistics.
+    println!("{}", service.metrics().snapshot().status_line());
     println!(
         "cache: {} entries, {} hits, {} misses",
         service.cache().len(),
